@@ -452,13 +452,13 @@ if [[ "${1:-}" != "--unit" ]]; then
     tile8_csv=$(mktemp)
     tile_obs_dir=$(mktemp -d)
     CLEANUP_PATHS+=("$tile1_csv" "$tile4_csv" "$tile8_csv" "$tile_obs_dir")
-    "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te --frames 4 \
+    "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te,memo --frames 4 \
         --width 256 --height 160 --quiet --csv "$tile1_csv" \
         --tile-jobs 1
-    "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te --frames 4 \
+    "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te,memo --frames 4 \
         --width 256 --height 160 --quiet --csv "$tile4_csv" \
         --tile-jobs 4 2> /dev/null
-    "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te --frames 4 \
+    "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te,memo --frames 4 \
         --width 256 --height 160 --quiet --csv "$tile8_csv" \
         --tile-jobs 8 --obs-dir "$tile_obs_dir" 2> /dev/null
     cmp "$tile1_csv" "$tile4_csv"

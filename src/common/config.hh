@@ -115,12 +115,6 @@ struct GpuConfig
     // --- Technique under evaluation ---------------------------------------
     Technique technique = Technique::Baseline;
 
-    /**
-     * Double buffering (paper §IV-C): when true the comparison frame is
-     * the one occupying the Back Buffer (N vs N-2); when false, N vs N-1.
-     */
-    bool doubleBuffered = true;
-
     // --- Rendering Elimination parameters ---------------------------------
     u32 otQueueEntries = 16;        //!< Overlapped Tiles Queue depth
     u32 crcSubblockBytes = 8;       //!< Compute CRC unit sub-block size

@@ -6,23 +6,11 @@ namespace regpu
 void
 FrameBuffer::writeTile(TileId tile, const std::vector<Color> &colors)
 {
-    const u32 tx = tile % config.tilesX();
-    const u32 ty = tile / config.tilesX();
-    const u32 x0 = tx * config.tileWidth;
-    const u32 y0 = ty * config.tileHeight;
     auto &surf = surfaces[back];
-    for (u32 dy = 0; dy < config.tileHeight; dy++) {
-        const u32 y = y0 + dy;
-        if (y >= config.screenHeight)
-            break;
-        for (u32 dx = 0; dx < config.tileWidth; dx++) {
-            const u32 x = x0 + dx;
-            if (x >= config.screenWidth)
-                break;
-            surf[static_cast<std::size_t>(y) * config.screenWidth + x] =
-                colors[static_cast<std::size_t>(dy) * config.tileWidth + dx];
-        }
-    }
+    forEachTileRow(tile, [&](std::size_t s, std::size_t t, u32 w) {
+        std::copy_n(colors.data() + t, w, surf.data() + s);
+        return true;
+    });
 }
 
 std::vector<Color>
@@ -30,49 +18,32 @@ FrameBuffer::readTile(TileId tile) const
 {
     std::vector<Color> out(static_cast<std::size_t>(config.tileWidth)
                            * config.tileHeight, Color(0, 0, 0, 0));
-    const u32 tx = tile % config.tilesX();
-    const u32 ty = tile / config.tilesX();
-    const u32 x0 = tx * config.tileWidth;
-    const u32 y0 = ty * config.tileHeight;
     const auto &surf = surfaces[back];
-    for (u32 dy = 0; dy < config.tileHeight; dy++) {
-        const u32 y = y0 + dy;
-        if (y >= config.screenHeight)
-            break;
-        for (u32 dx = 0; dx < config.tileWidth; dx++) {
-            const u32 x = x0 + dx;
-            if (x >= config.screenWidth)
-                break;
-            out[static_cast<std::size_t>(dy) * config.tileWidth + dx] =
-                surf[static_cast<std::size_t>(y) * config.screenWidth + x];
-        }
-    }
+    forEachTileRow(tile, [&](std::size_t s, std::size_t t, u32 w) {
+        std::copy_n(surf.data() + s, w, out.data() + t);
+        return true;
+    });
     return out;
 }
 
 bool
 FrameBuffer::tileEquals(TileId tile, const std::vector<Color> &colors) const
 {
-    const u32 tx = tile % config.tilesX();
-    const u32 ty = tile / config.tilesX();
-    const u32 x0 = tx * config.tileWidth;
-    const u32 y0 = ty * config.tileHeight;
     const auto &surf = surfaces[back];
-    for (u32 dy = 0; dy < config.tileHeight; dy++) {
-        const u32 y = y0 + dy;
-        if (y >= config.screenHeight)
-            break;
-        for (u32 dx = 0; dx < config.tileWidth; dx++) {
-            const u32 x = x0 + dx;
-            if (x >= config.screenWidth)
-                break;
-            if (!(surf[static_cast<std::size_t>(y) * config.screenWidth + x]
-                  == colors[static_cast<std::size_t>(dy)
-                            * config.tileWidth + dx]))
-                return false;
-        }
-    }
-    return true;
+    return forEachTileRow(tile, [&](std::size_t s, std::size_t t, u32 w) {
+        return std::equal(colors.data() + t, colors.data() + t + w,
+                          surf.data() + s);
+    });
+}
+
+bool
+FrameBuffer::surfacesEqual(TileId tile) const
+{
+    const Color *a = surfaces[0].data();
+    const Color *b = surfaces[1].data();
+    return forEachTileRow(tile, [&](std::size_t s, std::size_t, u32 w) {
+        return std::equal(a + s, a + s + w, b + s);
+    });
 }
 
 } // namespace regpu

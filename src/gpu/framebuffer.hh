@@ -11,6 +11,7 @@
 #ifndef REGPU_GPU_FRAMEBUFFER_HH
 #define REGPU_GPU_FRAMEBUFFER_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "common/config.hh"
@@ -91,6 +92,11 @@ class FrameBuffer
      *  content (ground truth for redundancy classification). */
     bool tileEquals(TileId tile, const std::vector<Color> &colors) const;
 
+    /** Whether the front and back surfaces hold the same on-screen
+     *  colors in @p tile. Right after a frame's swap that compares the
+     *  frame just rendered with the one before it (Fig. 2). */
+    bool surfacesEqual(TileId tile) const;
+
     /** Direct pixel access to the back buffer (tests, image dumps). */
     Color
     pixel(u32 x, u32 y) const
@@ -112,6 +118,29 @@ class FrameBuffer
     { return surfaces[back]; }
 
   private:
+    /**
+     * Walk the on-screen part of @p tile row by row, calling
+     * fn(surfaceIndex, tileIndex, width) with the row's first pixel in
+     * a surface and in a row-major tile, and its clipped width. Stops
+     * as soon as fn returns false. @return false iff fn stopped it.
+     */
+    template <typename Fn>
+    bool
+    forEachTileRow(TileId tile, Fn &&fn) const
+    {
+        const u32 x0 = (tile % config.tilesX()) * config.tileWidth;
+        const u32 y0 = (tile / config.tilesX()) * config.tileHeight;
+        const u32 w = std::min(config.tileWidth, config.screenWidth - x0);
+        const u32 h = std::min(config.tileHeight,
+                               config.screenHeight - y0);
+        for (u32 dy = 0; dy < h; dy++)
+            if (!fn(static_cast<std::size_t>(y0 + dy) * config.screenWidth
+                        + x0,
+                    static_cast<std::size_t>(dy) * config.tileWidth, w))
+                return false;
+        return true;
+    }
+
     const GpuConfig &config;
     std::vector<Color> surfaces[2];
     u32 back = 0;

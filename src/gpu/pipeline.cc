@@ -16,7 +16,7 @@ GraphicsPipeline::GraphicsPipeline(const GpuConfig &_config,
                                    const std::vector<Texture> &_textures)
     : config(_config), stats(_stats), mem(_mem), textures(_textures),
       geometry(_config, _stats, _mem), plb(_config, _stats, _mem),
-      renderer(_config, _stats, _mem, _textures), fb(_config)
+      fb(_config)
 {
 }
 
@@ -43,7 +43,6 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
     const bool reSafe = !commands.globalStateChanged;
     if (hooks)
         hooks->frameBegin(frameCounter, reSafe);
-    renderer.setMemoClient(hooks ? hooks->memoClient() : nullptr);
 
     // ---- Geometry Pipeline + Tiling Engine -----------------------------
     plb.beginFrame(result.binned);
@@ -83,44 +82,42 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
         hooks->geometryDone();
 
     // ---- Raster Pipeline, tile by tile ---------------------------------
+    // One loop, two schedules (docs/ARCHITECTURE.md): phase1(t) renders
+    // tile t into a private TileTask, merge(t) folds everything
+    // order-sensitive back on this thread in strict tile order. The pool
+    // runs phase 1 on tileJobs workers, each recording its memory
+    // accesses for the merge to replay. The direct schedule runs
+    // phase1(t) and merge(t) inline, back to back: it renders straight
+    // into the shared MemSystem, makes the counted render decision once
+    // instead of peek-then-confirm, and reuses one task slot so the color
+    // vector's capacity survives across tiles. Both produce the per-tile
+    // stream [counted decision][render traffic][flush], which keeps
+    // output bit-identical across --tile-jobs values.
     const u32 numTiles = config.numTiles();
     result.tiles.resize(numTiles);
-
-    std::optional<ObsScope> rasterSpan;
-    rasterSpan.emplace("gpu", "raster", "frame",
-                       static_cast<i64>(frameCounter), "tiles",
-                       static_cast<i64>(numTiles));
-
-    const bool split =
-        !hooks || (hooks->tileWorkersSafe() && !hooks->memoClient());
-    if (split) {
-        // Phase-1/merge split (docs/ARCHITECTURE.md): workers render
-        // and signature tiles into private slots, the caller folds
-        // everything order-sensitive back in strict tile order. Used
-        // for every tile-jobs value including 1, so technique output
-        // cannot depend on the worker count.
+    FragmentMemoClient *memo = hooks ? hooks->memoClient() : nullptr;
+    const bool poolSafe = !hooks || (hooks->tileWorkersSafe() && !memo);
+    if (tileJobs > 1 && !poolSafe)
+        warnOnce("--tile-jobs ", tileJobs, " requested but the attached "
+                 "technique is not tile-parallel-safe; rendering tiles "
+                 "serially");
+    const bool direct = tileJobs <= 1 || !poolSafe;
+    {
+        // Scoped so the per-frame tile tasks are freed inside the
+        // raster span, before frameEnd(), which ends the raster phase
+        // for anyone timing the hooks.
+        ObsScope rasterSpan("gpu", "raster", "frame",
+                            static_cast<i64>(frameCounter), "tiles",
+                            static_cast<i64>(numTiles));
         struct TileTask
         {
             std::vector<Color> colors;
             MemEventRecorder memEvents;
-            StatRegistry localStats;
             TileRenderStats renderStats;
             u32 preparedFlush = 0;
             bool render = true;
             bool equalColors = false;
         };
-        // Direct mode: with one worker, phase1(t) and merge(t) run
-        // inline back to back on this thread, so the tile-private
-        // record/replay indirection buys nothing - render straight
-        // into the shared MemSystem/StatRegistry (same accesses, same
-        // order), make the counted render decision once instead of
-        // peek-then-confirm, and reuse a single task slot so the
-        // color vector's capacity survives across tiles, like the
-        // serial loop always did. The observable access/stat stream
-        // per tile is [counted decision][render traffic][flush] in
-        // both modes, which is what keeps output bit-identical across
-        // --tile-jobs values (the check.sh 3-way cmp proves it).
-        const bool direct = tileJobs <= 1;
         std::vector<TileTask> tasks(direct ? 1u : numTiles);
         auto taskFor = [&](TileId tile) -> TileTask & {
             return tasks[direct ? 0 : tile];
@@ -134,29 +131,16 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                 tileSpan.emplace("gpu", "tile", "tile",
                                  static_cast<i64>(tile));
             TileTask &task = taskFor(tile);
-            // Direct mode makes the authoritative (counted) decision
-            // right here: phase1/merge run inline back to back, so
-            // the counted reads land in the same place in the access
-            // stream as the merge-side call would put them, and the
-            // phase-1 peek prediction would only duplicate the
-            // signature compare.
-            task.render = hooks
-                ? (direct ? hooks->shouldRenderTile(tile)
-                          : hooks->queryRenderTile(tile))
-                : true;
+            task.render = !hooks
+                || (direct ? hooks->shouldRenderTile(tile)
+                           : hooks->queryRenderTile(tile));
             if (task.render) {
-                // Private renderer: stats land in the task-local
-                // registry, memory accesses in the task-local
-                // recorder; shared state stays untouched until merge.
-                TileRenderer worker(
-                    config, direct ? stats : task.localStats,
-                    direct ? mem
-                           : static_cast<MemTraceSink *>(
-                                 &task.memEvents),
-                    textures);
-                task.renderStats = worker.renderTile(
+                TileRenderer renderer(config,
+                                      direct ? mem : &task.memEvents,
+                                      textures, memo);
+                task.renderStats = renderer.renderTile(
                     tile, result.binned, commands.draws,
-                    commands.clearColor, task.colors, true);
+                    commands.clearColor, task.colors);
                 // Per-tile-disjoint Back Buffer regions, written only
                 // by this tile's own (strictly later) merge: safe.
                 task.equalColors = fb.tileEquals(tile, task.colors);
@@ -164,14 +148,11 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                     task.preparedFlush =
                         hooks->prepareFlushTile(tile, task.colors);
             } else if (groundTruth) {
-                // Shadow render for ground truth - no cost charged
-                // (chargeCost=false records no stats and no memory
-                // traffic, so the local registry/recorder stay empty).
-                TileRenderer worker(config, task.localStats, nullptr,
-                                    textures);
-                worker.renderTile(tile, result.binned, commands.draws,
-                                  commands.clearColor, task.colors,
-                                  false);
+                // Shadow render for ground truth: no memory traffic,
+                // and its stats are dropped.
+                TileRenderer(config, nullptr, textures)
+                    .renderTile(tile, result.binned, commands.draws,
+                                commands.clearColor, task.colors, false);
                 task.equalColors = fb.tileEquals(tile, task.colors);
             }
         };
@@ -179,13 +160,12 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
         auto merge = [&](TileId tile) {
             TileTask &task = taskFor(tile);
             TileOutcome &out = result.tiles[tile];
-            // Authoritative decision, with its counted buffer reads
-            // and stats - then cross-checked against the phase-1
-            // prediction the tile was rendered under. Direct mode
-            // already made the counted call in phase1.
-            const bool render = (hooks && !direct)
-                ? hooks->shouldRenderTile(tile)
-                : task.render;
+            // The pool's authoritative decision, with its counted
+            // buffer reads and stats, cross-checked against the
+            // prediction phase 1 rendered under.
+            const bool render = (direct || !hooks)
+                ? task.render
+                : hooks->shouldRenderTile(tile);
             REGPU_ASSERT(render == task.render,
                          "queryRenderTile diverged from "
                          "shouldRenderTile for tile ", tile,
@@ -194,26 +174,28 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
             out.rendered = render;
 
             if (render) {
-                // Order-sensitive folds, in exact emission order: the
-                // MemSystem's cache state depends on the access
-                // sequence, which is why replay happens here and not
-                // on the worker. Direct mode already rendered into
-                // the shared sinks, so there is nothing to fold.
-                if (!direct) {
-                    if (mem)
-                        task.memEvents.replay(*mem);
-                    task.localStats.forEachCounter(
-                        [this](std::string_view name, u64 val) {
-                            stats.inc(name, val);
-                        });
-                }
-                out.stats = task.renderStats;
+                // The MemSystem's cache state depends on the access
+                // order, which is why replay happens here and not on
+                // the worker.
+                if (!direct && mem)
+                    task.memEvents.replay(*mem);
+                const TileRenderStats &ts = task.renderStats;
+                stats.inc("raster.fragmentsGenerated", ts.fragmentsGenerated);
+                stats.inc("raster.fragmentsEarlyZKilled",
+                          ts.fragmentsEarlyZKilled);
+                stats.inc("raster.fragmentsShaded", ts.fragmentsShaded);
+                stats.inc("raster.fragmentsMemoReused",
+                          ts.fragmentsMemoReused);
+                stats.inc("raster.shaderInstructions", ts.shaderInstructions);
+                stats.inc("raster.texelFetches", ts.texelFetches);
+                stats.inc("raster.blendOps", ts.blendOps);
+                stats.inc("raster.primitivesFetched", ts.primitivesFetched);
+                out.stats = ts;
                 out.equalColors = task.equalColors;
 
-                bool flush = hooks
-                    ? hooks->shouldFlushTilePre(tile, task.colors,
-                                                task.preparedFlush)
-                    : true;
+                const bool flush = !hooks
+                    || hooks->shouldFlushTilePre(tile, task.colors,
+                                                 task.preparedFlush);
                 out.flushed = flush;
                 if (flush) {
                     fb.writeTile(tile, task.colors);
@@ -231,7 +213,6 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                 out.flushed = false;
                 stats.inc("raster.tilesEliminated");
                 if (groundTruth) {
-                    out.stats = TileRenderStats{}; // skipped: zero cost
                     out.equalColors = task.equalColors;
                     if (!out.equalColors)
                         stats.inc("re.falsePositives");
@@ -239,64 +220,8 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
             }
         };
 
-        runTilesOrdered(numTiles, tileJobs, phase1, merge);
-    } else {
-        // Legacy serial loop for techniques holding mutable per-tile
-        // state across renderTile (Fragment Memoization) or custom
-        // hooks that never opted into the split contract.
-        if (tileJobs > 1)
-            warnOnce("--tile-jobs ", tileJobs, " requested but the "
-                     "attached technique is not tile-parallel-safe; "
-                     "rendering tiles serially");
-        std::vector<Color> tileColors;
-        for (TileId tile = 0; tile < numTiles; tile++) {
-            std::optional<ObsScope> tileSpan;
-            if (obsTileDetail())
-                tileSpan.emplace("gpu", "tile", "tile",
-                                 static_cast<i64>(tile));
-            TileOutcome &out = result.tiles[tile];
-            const bool render =
-                hooks ? hooks->shouldRenderTile(tile) : true;
-            out.rendered = render;
-
-            if (render) {
-                out.stats = renderer.renderTile(tile, result.binned,
-                                                commands.draws,
-                                                commands.clearColor,
-                                                tileColors, true);
-                out.equalColors = fb.tileEquals(tile, tileColors);
-
-                bool flush = hooks
-                    ? hooks->shouldFlushTile(tile, tileColors) : true;
-                out.flushed = flush;
-                if (flush) {
-                    fb.writeTile(tile, tileColors);
-                    if (mem)
-                        mem->colorFlush(fb.tileAddr(tile),
-                                        fb.tileBytes(tile));
-                    stats.inc("raster.tilesFlushed");
-                } else {
-                    stats.inc("raster.tileFlushesEliminated");
-                }
-                stats.inc("raster.tilesRendered");
-            } else {
-                out.flushed = false;
-                stats.inc("raster.tilesEliminated");
-                if (groundTruth) {
-                    out.stats = TileRenderStats{}; // skipped: zero cost
-                    std::vector<Color> shadow;
-                    renderer.renderTile(tile, result.binned,
-                                        commands.draws,
-                                        commands.clearColor, shadow,
-                                        false);
-                    out.equalColors = fb.tileEquals(tile, shadow);
-                    if (!out.equalColors)
-                        stats.inc("re.falsePositives");
-                }
-            }
-        }
+        runTilesOrdered(numTiles, direct ? 1 : tileJobs, phase1, merge);
     }
-    rasterSpan.reset();
 
     if (hooks)
         hooks->frameEnd();

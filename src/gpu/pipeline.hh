@@ -72,19 +72,19 @@ class PipelineHooks
 
     // ---- Tile worker pool contract (docs/ARCHITECTURE.md) --------------
     //
-    // When tileWorkersSafe() returns true, the pipeline splits the
-    // raster loop into a parallel phase-1 (per tile, on pool workers)
-    // and a serial in-tile-order merge, and calls the three hooks
-    // below instead of weaving everything through shouldRenderTile /
-    // shouldFlushTile alone. The split is used for EVERY --tile-jobs
-    // value including 1, so a technique's output cannot depend on the
-    // job count. Techniques that keep mutable per-tile state across
-    // renderTile (Fragment Memoization's LUT) or that cannot separate
-    // a pure query from their counted decision stay on the default
-    // (false) and run the legacy serial loop untouched.
+    // Every frame's tiles go through one raster loop: phase 1 renders a
+    // tile into private state, and a merge in strict tile order charges
+    // and flushes it. Both schedules hand prepareFlushTile's phase-1
+    // value to shouldFlushTilePre in the merge. The pool schedule runs
+    // phase 1 on --tile-jobs workers, which ask queryRenderTile, and
+    // the merge confirms with the counted shouldRenderTile. The direct
+    // schedule runs phase 1 and the merge back to back on the calling
+    // thread and asks shouldRenderTile once. It serves --tile-jobs 1
+    // and every hook that does not opt in below, such as Fragment
+    // Memoization, whose LUT is mutable state shared across tiles.
 
-    /** Opt into the phase-1/merge split. Implementations returning
-     *  true guarantee: queryRenderTile is pure and thread-safe,
+    /** Opt into the pool schedule. Implementations returning true
+     *  guarantee: queryRenderTile is pure and thread-safe,
      *  prepareFlushTile is pure and thread-safe, and memoClient() is
      *  nullptr. */
     virtual bool tileWorkersSafe() const { return false; }
@@ -131,7 +131,6 @@ struct TileOutcome
     bool flushed = true;        //!< colors written to the Frame Buffer
     bool equalColors = false;   //!< ground truth: same colors as the
                                 //!< comparison frame in the Back Buffer
-    bool equalInputs = false;   //!< signature matched (RE's view)
     TileRenderStats stats;      //!< zeros when skipped
 };
 
@@ -143,7 +142,6 @@ struct FrameResult
     std::vector<TileOutcome> tiles;
     u64 verticesShaded = 0;
     u64 trianglesAssembled = 0;
-    bool techniqueActive = true;  //!< false when RE was disabled
 };
 
 /**
@@ -162,14 +160,13 @@ class GraphicsPipeline
     void setHooks(PipelineHooks *hooks_) { hooks = hooks_; }
 
     /**
-     * Intra-frame tile worker count (default 1 = serial). Purely an
-     * execution knob: output is bit-identical for every value, which
-     * is why it lives here and not in GpuConfig. Takes effect only
-     * for hooks that declare tileWorkersSafe() (baseline included);
-     * others keep the legacy serial loop.
+     * Intra-frame tile worker count (default 1 = direct schedule).
+     * Purely an execution knob: output is bit-identical for every
+     * value, which is why it lives here and not in GpuConfig. Takes
+     * effect only for hooks that declare tileWorkersSafe() (baseline
+     * included); others run the direct schedule and warn once.
      */
     void setTileJobs(unsigned jobs);
-    unsigned tileJobCount() const { return tileJobs; }
 
     /**
      * Render one frame.
@@ -193,7 +190,6 @@ class GraphicsPipeline
 
     GeometryPipeline geometry;
     PolygonListBuilder plb;
-    TileRenderer renderer;
     FrameBuffer fb;
     u64 frameCounter = 0;
     unsigned tileJobs = 1;

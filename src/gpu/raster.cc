@@ -253,16 +253,6 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
         }
     }
 
-    if (chargeCost) {
-        stats.inc("raster.fragmentsGenerated", ts.fragmentsGenerated);
-        stats.inc("raster.fragmentsEarlyZKilled", ts.fragmentsEarlyZKilled);
-        stats.inc("raster.fragmentsShaded", ts.fragmentsShaded);
-        stats.inc("raster.fragmentsMemoReused", ts.fragmentsMemoReused);
-        stats.inc("raster.shaderInstructions", ts.shaderInstructions);
-        stats.inc("raster.texelFetches", ts.texelFetches);
-        stats.inc("raster.blendOps", ts.blendOps);
-        stats.inc("raster.primitivesFetched", ts.primitivesFetched);
-    }
     return ts;
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "gpu/binning.hh"
 #include "gpu/color.hh"
 #include "gpu/texture.hh"
@@ -69,19 +68,18 @@ struct TileRenderStats
 
 /**
  * Renders one tile: the functional model of everything between the
- * Tile Scheduler and the Tile Flush.
+ * Tile Scheduler and the Tile Flush. Charges no statistics itself: the
+ * caller folds the returned TileRenderStats.
  */
 class TileRenderer
 {
   public:
-    TileRenderer(const GpuConfig &_config, StatRegistry &_stats,
-                 MemTraceSink *_mem,
-                 const std::vector<Texture> &_textures)
-        : config(_config), stats(_stats), mem(_mem), textures(_textures)
+    /** @param _memo optional memoization hook (Fragment Memoization) */
+    TileRenderer(const GpuConfig &_config, MemTraceSink *_mem,
+                 const std::vector<Texture> &_textures,
+                 FragmentMemoClient *_memo = nullptr)
+        : config(_config), mem(_mem), textures(_textures), memo(_memo)
     {}
-
-    /** Optional memoization hook (Fragment Memoization technique). */
-    void setMemoClient(FragmentMemoClient *client) { memo = client; }
 
     /**
      * Render all primitives binned to @p tile.
@@ -93,7 +91,7 @@ class TileRenderer
      * @param outColors  tileWidth*tileHeight colors, row-major
      * @param chargeCost when false the render is a "shadow" pass used
      *                   only for ground-truth statistics: no memory
-     *                   traffic or stats are recorded
+     *                   traffic is recorded
      * @return per-tile statistics
      */
     TileRenderStats renderTile(TileId tile, const BinnedFrame &frame,
@@ -112,10 +110,9 @@ class TileRenderer
 
   private:
     const GpuConfig &config;
-    StatRegistry &stats;
     MemTraceSink *mem;
     const std::vector<Texture> &textures;
-    FragmentMemoClient *memo = nullptr;
+    FragmentMemoClient *memo;
 };
 
 } // namespace regpu

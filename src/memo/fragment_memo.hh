@@ -59,11 +59,9 @@ class MemoLut
             if (w.valid && w.tag == sig) {
                 color = w.color;
                 w.lastUse = stamp;
-                hits_++;
                 return true;
             }
         }
-        misses_++;
         return false;
     }
 
@@ -97,10 +95,6 @@ class MemoLut
                 w = Way{};
     }
 
-    u64 hits() const { return hits_; }
-    u64 misses() const { return misses_; }
-    void resetStats() { hits_ = misses_ = 0; }
-
     /** Storage: tag (4 B) + color (4 B) per entry. */
     u64
     sizeBytes() const
@@ -127,8 +121,6 @@ class MemoLut
     u64 numSets = 0;
     std::vector<Set> sets;
     u64 stamp = 0;
-    u64 hits_ = 0;
-    u64 misses_ = 0;
 };
 
 /**
@@ -220,8 +212,6 @@ class FragmentMemoization : public PipelineHooks,
                 stream.emplace_back(signature, color);
         }
     }
-
-    MemoLut &lutRef() { return lut; }
 
   private:
     const GpuConfig &config;

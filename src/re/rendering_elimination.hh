@@ -35,18 +35,10 @@ namespace regpu
 class RenderingElimination : public PipelineHooks
 {
   public:
-    /**
-     * Slot count: while frame N accumulates we must still hold frame
-     * N-1 (needed for frame N+1's comparison under double buffering)
-     * and frame N-2 (the Back Buffer frame N compares against), hence
-     * 3 rotation slots; single buffering compares N vs N-1 and needs 2.
-     * The hardware cost reported by the paper (2 frames of signatures)
-     * corresponds to the steady-state live sets.
-     */
     RenderingElimination(const GpuConfig &_config, StatRegistry &_stats,
                          HashKind hashKind = HashKind::Crc32)
         : config(_config), stats(_stats),
-          buffer(_config.numTiles(), _config.doubleBuffered ? 3 : 2),
+          buffer(_config.numTiles(), SignatureBuffer::swapChainSlots),
           unit(_config, buffer, hashKind)
     {}
 
@@ -64,7 +56,6 @@ class RenderingElimination : public PipelineHooks
         // match against it).
         buffer.rotate();
         unit.frameBegin();
-        frame = frameIndex;
         enabled = reSafe;
         if (config.refreshPeriodFrames
             && frameIndex % config.refreshPeriodFrames
@@ -188,9 +179,6 @@ class RenderingElimination : public PipelineHooks
     /** Geometry-stall cycles of the current frame (timing model). */
     Cycles frameStallCycles() const { return unit.activity().stallCycles; }
 
-    /** Whether RE is active this frame. */
-    bool active() const { return enabled; }
-
     SignatureBuffer &signatureBuffer() { return buffer; }
     const SignatureUnit &signatureUnit() const { return unit; }
 
@@ -199,7 +187,6 @@ class RenderingElimination : public PipelineHooks
     StatRegistry &stats;
     SignatureBuffer buffer;
     SignatureUnit unit;
-    u64 frame = 0;
     bool enabled = true;
 };
 

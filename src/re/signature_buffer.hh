@@ -52,9 +52,17 @@ class SignatureBuffer
 {
   public:
     /**
+     * Slots RE and TE rotate: while frame N accumulates, the buffer
+     * still holds frame N-1 (frame N+1 compares against it) and frame
+     * N-2 (the Back Buffer frame N compares against under double
+     * buffering). The hardware cost the paper reports (2 frames of
+     * signatures) corresponds to the steady-state live sets.
+     */
+    static constexpr u32 swapChainSlots = 3;
+
+    /**
      * @param numTiles tiles per frame
-     * @param frameSpan number of frame slots (2 for double buffering:
-     *        the set for the Back Buffer and the set for the Front)
+     * @param frameSpan number of frame slots
      */
     SignatureBuffer(u32 numTiles, u32 frameSpan)
         : numTiles_(numTiles), span(frameSpan),

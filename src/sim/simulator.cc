@@ -48,7 +48,7 @@ FrameResult
 Simulator::stepFrame(u64 frameIndex)
 {
     FrameCommands cmds = scene.emitFrame(frameIndex);
-    return pipe->renderFrame(cmds, options.groundTruth);
+    return pipe->renderFrame(cmds);
 }
 
 SimResult
@@ -59,13 +59,10 @@ Simulator::run()
     result.technique = config.technique;
     result.frames = options.frames;
 
-    // Memoization hooks into the renderer itself.
-    if (memo) {
-        // GraphicsPipeline consults hooks->memoClient() indirectly via
-        // the TileRenderer; wire it here through the pipeline.
-    }
-
     const u32 numTiles = config.numTiles();
+    // Fig. 2 metric: tiles equal to the immediately preceding frame.
+    u64 equalConsecutiveTiles = 0;
+    u64 comparedConsecutiveTiles = 0;
 
     ObsScope runSpan("sim", "run", "frames",
                      static_cast<i64>(options.frames), "tech",
@@ -83,18 +80,21 @@ Simulator::run()
         u64 frameFlushesElided = 0;
         u64 frameFragmentsShaded = 0;
 
-        // Snapshot the current back buffer (it will be overwritten
-        // this frame) so consecutive-frame equality can be measured
-        // against frame f-1's displayed output.
-        const std::vector<Color> *prevBack = nullptr;
-        std::vector<Color> frontCopy;
-        if (f > 0)
-            frontCopy = prevFrameColors;
-
         FrameResult fr = stepFrame(f);
 
+        // ---- Fig. 2 metric: equality vs the immediately previous
+        // frame, regardless of the swap chain. After the swap the front
+        // surface holds frame f and the back surface frame f-1, which
+        // frame f left untouched.
+        if (f > 0) {
+            for (TileId t = 0; t < numTiles; t++)
+                equalConsecutiveTiles +=
+                    pipe->frameBuffer().surfacesEqual(t) ? 1 : 0;
+            comparedConsecutiveTiles += numTiles;
+        }
+
         // ---- Tile classification (vs the swap-chain comparison frame).
-        const bool haveComparison = config.doubleBuffered ? f >= 2 : f >= 1;
+        const bool haveComparison = f >= 2;
         for (TileId t = 0; t < numTiles; t++) {
             const TileOutcome &out = fr.tiles[t];
             result.tilesTotal++;
@@ -111,13 +111,9 @@ Simulator::run()
 
             if (haveComparison) {
                 result.tileClasses.comparedTiles++;
-                bool equalInputs = !out.rendered; // RE's decision
-                if (re == nullptr) {
-                    // Baseline/TE/Memo runs have no input signatures;
-                    // classification of inputs is only meaningful
-                    // under RE.
-                    equalInputs = false;
-                }
+                // RE's decision. Baseline/TE/Memo runs have no input
+                // signatures, so their inputs never count as equal.
+                const bool equalInputs = re && !out.rendered;
                 if (out.equalColors && equalInputs)
                     result.tileClasses.equalColorsEqualInputs++;
                 else if (out.equalColors && !equalInputs)
@@ -131,54 +127,6 @@ Simulator::run()
             result.fragmentsShaded += out.stats.fragmentsShaded;
             result.fragmentsMemoReused += out.stats.fragmentsMemoReused;
             frameFragmentsShaded += out.stats.fragmentsShaded;
-        }
-
-        // ---- Fig. 2 metric: equality vs the immediately previous
-        // frame's rendered output (the buffer just swapped to front).
-        {
-            const auto &surfNow = pipe->frameBuffer().backSurface();
-            // After swap, "back" is the older surface; the frame just
-            // rendered is the front. Compare front vs saved previous.
-            // Simpler: reconstruct the just-rendered surface by
-            // reading the front buffer through frontPixel.
-            const GpuConfig &cfg = config;
-            if (f > 0 && !frontCopy.empty()) {
-                for (TileId t = 0; t < numTiles; t++) {
-                    const u32 tx = (t % cfg.tilesX()) * cfg.tileWidth;
-                    const u32 ty = (t / cfg.tilesX()) * cfg.tileHeight;
-                    bool equal = true;
-                    for (u32 dy = 0; dy < cfg.tileHeight && equal; dy++) {
-                        u32 y = ty + dy;
-                        if (y >= cfg.screenHeight)
-                            break;
-                        for (u32 dx = 0; dx < cfg.tileWidth; dx++) {
-                            u32 x = tx + dx;
-                            if (x >= cfg.screenWidth)
-                                break;
-                            std::size_t idx =
-                                static_cast<std::size_t>(y)
-                                * cfg.screenWidth + x;
-                            if (!(pipe->frameBuffer().frontPixel(x, y)
-                                  == frontCopy[idx])) {
-                                equal = false;
-                                break;
-                            }
-                        }
-                    }
-                    comparedConsecutiveTiles++;
-                    if (equal)
-                        equalConsecutiveTiles++;
-                }
-            }
-            (void)surfNow;
-            (void)prevBack;
-            // Save the just-rendered frame (now the front buffer).
-            prevFrameColors.resize(pipe->frameBuffer().pixelCount());
-            for (u32 y = 0; y < cfg.screenHeight; y++)
-                for (u32 x = 0; x < cfg.screenWidth; x++)
-                    prevFrameColors[static_cast<std::size_t>(y)
-                                    * cfg.screenWidth + x] =
-                        pipe->frameBuffer().frontPixel(x, y);
         }
 
         // ---- Timing ------------------------------------------------------

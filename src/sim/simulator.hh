@@ -84,10 +84,6 @@ struct SimResult
 struct SimOptions
 {
     u64 frames = 30;
-    u64 warmupFrames = 2;  //!< excluded from per-frame averages? kept
-                           //!< simple: all frames accounted, warmup
-                           //!< only seeds the signature history
-    bool groundTruth = true;
     HashKind hashKind = HashKind::Crc32;
 
     /** Intra-frame tile worker count (--tile-jobs). Execution knob
@@ -141,11 +137,6 @@ class Simulator
     CycleModel cycles;
     EnergyModel energy;
     std::unique_ptr<RunObsWriter> obsWriter;  //!< only with obsDir set
-
-    // Previous-frame back-buffer copy for the Fig. 2 metric.
-    std::vector<Color> prevFrameColors;
-    u64 equalConsecutiveTiles = 0;
-    u64 comparedConsecutiveTiles = 0;
 };
 
 } // namespace regpu

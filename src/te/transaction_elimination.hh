@@ -34,8 +34,8 @@ class TransactionElimination : public PipelineHooks
 {
   public:
     TransactionElimination(const GpuConfig &_config, StatRegistry &_stats)
-        : config(_config), stats(_stats),
-          buffer(_config.numTiles(), _config.doubleBuffered ? 3 : 2)
+        : stats(_stats),
+          buffer(_config.numTiles(), SignatureBuffer::swapChainSlots)
     {}
 
     void
@@ -106,9 +106,8 @@ class TransactionElimination : public PipelineHooks
     bool
     shouldFlushTile(TileId tile, const std::vector<Color> &colors) override
     {
-        // Legacy single-call form: hash + decide in one step (direct
-        // callers and tests; the pipeline's split path calls the two
-        // halves separately).
+        // Single-call form: hash + decide in one step (direct callers
+        // and tests; the pipeline calls the two halves separately).
         return shouldFlushTilePre(tile, colors,
                                   prepareFlushTile(tile, colors));
     }
@@ -127,7 +126,6 @@ class TransactionElimination : public PipelineHooks
     SignatureBuffer &signatureBuffer() { return buffer; }
 
   private:
-    const GpuConfig &config;
     StatRegistry &stats;
     SignatureBuffer buffer;
     u64 lutAccessesThisFrame = 0;

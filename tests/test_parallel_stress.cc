@@ -258,7 +258,8 @@ TEST(TilePoolStress, BitIdenticalAcrossTileJobCounts)
     ObsSink::instance().enable(/*eventsPerThread=*/1u << 12);
     const Technique techs[] = {Technique::Baseline,
                                Technique::RenderingElimination,
-                               Technique::TransactionElimination};
+                               Technique::TransactionElimination,
+                               Technique::FragmentMemoization};
     for (Technique tech : techs) {
         SCOPED_TRACE(techniqueName(tech));
         std::vector<SimResult> byJobs;

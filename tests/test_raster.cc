@@ -10,6 +10,7 @@
 #include "gpu/binning.hh"
 #include "gpu/memiface.hh"
 #include "gpu/raster.hh"
+#include "gpu/tile_pool.hh"
 
 using namespace regpu;
 
@@ -23,7 +24,6 @@ namespace
 struct RasterFixture : ::testing::Test
 {
     GpuConfig config;
-    StatRegistry stats;
     std::vector<Texture> textures;
     std::vector<DrawCall> draws;
     BinnedFrame frame;
@@ -66,7 +66,7 @@ struct RasterFixture : ::testing::Test
     TileRenderStats
     render(TileId tile, std::vector<Color> &out)
     {
-        TileRenderer r(config, stats, nullptr, textures);
+        TileRenderer r(config, nullptr, textures);
         return r.renderTile(tile, frame, draws, Color(0, 0, 0), out);
     }
 };
@@ -203,13 +203,26 @@ TEST_F(RasterFixture, TileIsolation)
 
 TEST_F(RasterFixture, ShadowRenderChargesNothing)
 {
-    addTriangle(0, 0, 64, 0, 0, 64, flatState());
-    TileRenderer r(config, stats, nullptr, textures);
+    PipelineState s;
+    s.shader = ShaderKind::Textured;
+    s.textureId = 0;
+    addTriangle(0, 0, 64, 0, 0, 64, s);
+    MemEventRecorder sink;
+    TileRenderer r(config, &sink, textures);
     std::vector<Color> out;
-    r.renderTile(0, frame, draws, Color(0, 0, 0), out, false);
-    EXPECT_EQ(stats.counter("raster.fragmentsShaded"), 0u);
-    // ...but still produces the correct colors.
-    EXPECT_EQ(out[0], Color(255, 0, 0));
+    // A charged render of the same tile records parameter reads and
+    // texel fetches...
+    TileRenderStats charged = r.renderTile(0, frame, draws,
+                                           Color(0, 0, 0), out);
+    ASSERT_GT(charged.texelFetches, 0u);
+    ASSERT_GT(sink.size(), 0u);
+    // ...a shadow render records no memory traffic at all...
+    sink.clear();
+    std::vector<Color> shadow;
+    r.renderTile(0, frame, draws, Color(0, 0, 0), shadow, false);
+    EXPECT_EQ(sink.size(), 0u);
+    // ...but still produces the same colors.
+    EXPECT_EQ(shadow, out);
 }
 
 TEST_F(RasterFixture, DeterministicColors)

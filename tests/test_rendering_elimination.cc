@@ -35,9 +35,8 @@ struct ReFixture : ::testing::Test
     }
 
     void
-    buildScene(bool withMover, bool doubleBuffered = true)
+    buildScene(bool withMover)
     {
-        config.doubleBuffered = doubleBuffered;
         scene = std::make_unique<Scene>("re-test", config);
         u32 tex = scene->addTexture(
             Texture(0, 64, 64, TexturePattern::Checker, 5));
@@ -130,15 +129,6 @@ TEST_F(ReFixture, MovingObjectTilesRendered)
     EXPECT_GT(rendered, 0u); // mover's tiles change inputs
     EXPECT_GT(skipped, 0u);  // background-only tiles skip
     EXPECT_EQ(stats.counter("re.falsePositives"), 0u);
-}
-
-TEST_F(ReFixture, SingleBufferComparesPreviousFrame)
-{
-    buildScene(false, /*doubleBuffered=*/false);
-    frame(0);
-    FrameResult f1 = frame(1); // N vs N-1
-    for (const TileOutcome &t : f1.tiles)
-        EXPECT_FALSE(t.rendered);
 }
 
 TEST_F(ReFixture, GlobalStateChangeDisablesReForTheFrame)

@@ -159,6 +159,65 @@ TEST(SimIntegration, EqualTilesMetricMatchesCoherenceClass)
     EXPECT_LT(mst.equalTilesConsecutivePct, 20.0);
 }
 
+TEST(SimIntegration, EqualTilesMetricMatchesNaiveFrontBufferOracle)
+{
+    // Fig. 2 oracle: snapshot the displayed frame pixel by pixel after
+    // every frame, and count per consecutive pair the tiles whose
+    // on-screen pixels all match. 200x120 leaves the right column and
+    // bottom row of tiles clipped.
+    u64 totalEqual = 0, totalCompared = 0;
+    for (const char *alias : {"ccs", "coc"}) {
+        for (Technique tech : {Technique::Baseline,
+                               Technique::RenderingElimination,
+                               Technique::TransactionElimination}) {
+            SCOPED_TRACE(std::string(alias) + " "
+                         + techniqueName(tech));
+            GpuConfig config;
+            config.scaleResolution(200, 120);
+            config.technique = tech;
+            auto scene = makeBenchmark(alias, config);
+            SimOptions opts;
+            opts.frames = 6;
+
+            Simulator stepped(*scene, config, opts);
+            const FrameBuffer &fb = stepped.pipeline().frameBuffer();
+            std::vector<Color> prev, cur;
+            u64 equal = 0, compared = 0;
+            for (u64 f = 0; f < opts.frames; f++) {
+                stepped.stepFrame(f);
+                cur.clear();
+                for (u32 y = 0; y < config.screenHeight; y++)
+                    for (u32 x = 0; x < config.screenWidth; x++)
+                        cur.push_back(fb.frontPixel(x, y));
+                if (f > 0) {
+                    std::vector<bool> same(config.numTiles(), true);
+                    for (u32 y = 0; y < config.screenHeight; y++)
+                        for (u32 x = 0; x < config.screenWidth; x++) {
+                            const std::size_t i =
+                                std::size_t{y} * config.screenWidth + x;
+                            if (!(cur[i] == prev[i]))
+                                same[config.tileAt(x, y)] = false;
+                        }
+                    for (bool s : same)
+                        equal += s ? 1 : 0;
+                    compared += config.numTiles();
+                }
+                std::swap(prev, cur);
+            }
+
+            Simulator ran(*scene, config, opts);
+            EXPECT_EQ(ran.run().equalTilesConsecutivePct,
+                      100.0 * equal / compared);
+            totalEqual += equal;
+            totalCompared += compared;
+        }
+    }
+    // Both outcomes occur, so neither "always equal" nor "never
+    // equal" could pass.
+    EXPECT_GT(totalEqual, 0u);
+    EXPECT_LT(totalEqual, totalCompared);
+}
+
 TEST(SimIntegration, ResultsAreReproducible)
 {
     SimResult a = runAlias("tib", Technique::RenderingElimination, 6);
