@@ -11,21 +11,14 @@
  * change made the walk slower.
  *
  * Usage: micro_memsystem [--accesses N] [--mix-frames N]
- *        [--json FILE]
- *
- * --json writes the single-run machine-readable document
- * (sim/bench_json.hh) that scripts/bench.py aggregates into
- * BENCH_memsystem.json.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <string>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "sim/bench_json.hh"
 #include "sim/parallel_runner.hh"
 #include "timing/memsystem.hh"
 
@@ -85,40 +78,26 @@ main(int argc, char **argv)
 {
     u64 accesses = 2'000'000;
     u64 mixFrames = 8;
-    std::string jsonPath;
     for (int i = 1; i < argc; i++) {
         if (!std::strcmp(argv[i], "--accesses") && i + 1 < argc)
             accesses = parseCountArg("--accesses", argv[++i]);
         else if (!std::strcmp(argv[i], "--mix-frames") && i + 1 < argc)
             mixFrames = parseCountArg("--mix-frames", argv[++i]);
-        else if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
-            jsonPath = argv[++i];
         else
             fatal("usage: micro_memsystem [--accesses N] "
-                  "[--mix-frames N] [--json FILE]");
+                  "[--mix-frames N]");
     }
     if (mixFrames == 0)
         fatal("--mix-frames must be >= 1 (got 0)");
 
     std::printf("== micro_memsystem: hierarchy-walk cost ==\n");
 
-    BenchJsonWriter bench;
-    auto record = [&](const char *display, const char *key,
-                      const BenchResult &r) {
-        report(display, r);
-        bench.add(std::string("mem.") + key + ".accessesPerSecond",
-                  "accesses/s", /*higherIsBetter=*/true,
-                  r.seconds > 0 ? r.accesses / r.seconds : 0.0);
-    };
-
-    record("vertex stream", "vertexStream",
-           run(accesses, [](MemSystem &m, u64 n) {
+    report("vertex stream", run(accesses, [](MemSystem &m, u64 n) {
         for (u64 i = 0; i < n; i++)
             m.vertexFetch(0x1'0000'0000ull + (i % (1 << 22)) * 28, 28);
     }));
 
-    record("texel tiled", "texelTiled",
-           run(accesses, [](MemSystem &m, u64 n) {
+    report("texel tiled", run(accesses, [](MemSystem &m, u64 n) {
         Rng rng(7);
         for (u64 i = 0; i < n; i++) {
             // 2D locality: a random walk within a 256x256 texel tile.
@@ -129,8 +108,7 @@ main(int argc, char **argv)
         }
     }));
 
-    record("pb write+read", "pbWriteRead",
-           run(accesses, [](MemSystem &m, u64 n) {
+    report("pb write+read", run(accesses, [](MemSystem &m, u64 n) {
         for (u64 i = 0; i < n / 2; i++)
             m.parameterWrite(0x2'0000'0000ull + (i % (1 << 16)) * 176,
                              176);
@@ -139,8 +117,7 @@ main(int argc, char **argv)
                             176);
     }));
 
-    record("color flush+read", "colorFlushRead",
-           run(accesses, [](MemSystem &m, u64 n) {
+    report("color flush+read", run(accesses, [](MemSystem &m, u64 n) {
         for (u64 i = 0; i < n / 2; i++)
             m.colorFlush(0x4'0000'0000ull + (i % 3600) * 1024, 1024);
         for (u64 i = 0; i < n / 2; i++)
@@ -149,8 +126,7 @@ main(int argc, char **argv)
 
     // Mixed per-frame workload shaped like a real run: PB writes,
     // then per-tile PB reads + texels + flushes, with frame ends.
-    record("mixed frames", "mixedFrames",
-           run(accesses, [&](MemSystem &m, u64 n) {
+    report("mixed frames", run(accesses, [&](MemSystem &m, u64 n) {
         Rng rng(11);
         const u64 perFrame = n / mixFrames;
         for (u64 f = 0; f < mixFrames; f++) {
@@ -182,9 +158,5 @@ main(int argc, char **argv)
         }
     }));
 
-    if (!jsonPath.empty()) {
-        bench.writeFile(jsonPath);
-        std::printf("wrote %s\n", jsonPath.c_str());
-    }
     return 0;
 }

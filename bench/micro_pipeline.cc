@@ -4,41 +4,35 @@
  *
  * Runs the full Simulator (geometry, binning, raster, technique
  * hooks, memory hierarchy, energy model) for each requested
- * (workload x technique) cell and reports host-side throughput —
- * the single number every "make the simulator faster" PR moves. The
- * per-cell split shows where the time goes (3D scenes dominate);
- * `pipeline.total` is the headline.
+ * (workload x technique) cell and reports host-side throughput. The
+ * per-cell split shows where the time goes (3D scenes dominate); the
+ * `total` row is the headline. This is an ad-hoc probe: the
+ * benchmark that decides regressions is perfbench/ (BENCHMARK.json).
  *
  * Usage:
  *   micro_pipeline [--workload ALIAS|all] [--tech base,re,te,memo]
  *                  [--frames N] [--width W --height H]
- *                  [--seed N] [--tile-jobs N] [--json FILE]
- *                  [--obs-dir DIR]
+ *                  [--seed N] [--tile-jobs N] [--obs-dir DIR]
  *
  * --tile-jobs N rasterizes each frame's tiles on N intra-frame
  * workers (results are bit-identical for any N; the flag only moves
- * wall-clock). With N > 1 the headline pipeline.total number measures
- * the tile-pool speedup directly.
+ * wall-clock). With N > 1 the `total` row measures the tile-pool
+ * speedup directly.
  *
- * --json writes the single-run machine-readable document
- * (sim/bench_json.hh) that scripts/bench.py aggregates into
- * BENCH_e2e.json.
  * --obs-dir enables the observability layer (timeline tracing plus
  * per-frame artifacts, src/obs/) so the reported throughput measures
- * the tracing-enabled path — scripts/bench.py records this as
- * pipelineObs.* next to the default-off pipeline.* numbers.
+ * the tracing-enabled path; a run without it gives the default-off
+ * baseline, and the two totals price the tracing.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "obs/obs.hh"
-#include "sim/bench_json.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -65,7 +59,6 @@ struct Options
     u32 width = 256, height = 160;
     u64 seed = 1;
     unsigned tileJobs = 1;
-    std::string jsonPath;
     std::string obsDir;
 };
 
@@ -80,7 +73,7 @@ parseArgs(int argc, char **argv)
             fatal("usage: micro_pipeline [--workload ALIAS|all] "
                   "[--tech base,re,te,memo] [--frames N] "
                   "[--width W --height H] [--seed N] [--tile-jobs N] "
-                  "[--json FILE] [--obs-dir DIR]");
+                  "[--obs-dir DIR]");
         return argv[++i];
     };
     for (int i = 1; i < argc; i++) {
@@ -98,17 +91,13 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--frames") {
             opts.frames = parseCountArg("--frames", next(i));
         } else if (arg == "--width") {
-            opts.width = static_cast<u32>(
-                parseCountArg("--width", next(i)));
+            opts.width = parseDimensionArg("--width", next(i));
         } else if (arg == "--height") {
-            opts.height = static_cast<u32>(
-                parseCountArg("--height", next(i)));
+            opts.height = parseDimensionArg("--height", next(i));
         } else if (arg == "--seed") {
             opts.seed = parseCountArg("--seed", next(i));
         } else if (arg == "--tile-jobs") {
             opts.tileJobs = parseTileJobsArg(next(i));
-        } else if (arg == "--json") {
-            opts.jsonPath = next(i);
         } else if (arg == "--obs-dir") {
             opts.obsDir = next(i);
         } else {
@@ -150,7 +139,6 @@ main(int argc, char **argv)
         }
     }
 
-    BenchJsonWriter bench;
     double totalSeconds = 0;
     u64 totalFrames = 0;
     for (const SimJob &job : jobs) {
@@ -171,9 +159,6 @@ main(int argc, char **argv)
         const char *tech = techniqueName(job.config.technique);
         std::printf("%-10s %-8s %12.2f %10.3f\n", job.workload.c_str(),
                     tech, fps, seconds);
-        bench.add("pipeline." + job.workload + "." + tech
-                      + ".framesPerSecond",
-                  "frames/s", /*higherIsBetter=*/true, fps);
     }
 
     const double totalFps = totalSeconds > 0
@@ -181,8 +166,6 @@ main(int argc, char **argv)
         : 0;
     std::printf("%-10s %-8s %12.2f %10.3f\n", "total", "-", totalFps,
                 totalSeconds);
-    bench.add("pipeline.total.framesPerSecond", "frames/s",
-              /*higherIsBetter=*/true, totalFps);
 
     if (!opts.obsDir.empty()) {
         const std::string timelinePath =
@@ -192,11 +175,6 @@ main(int argc, char **argv)
                          timelinePath.c_str());
         else
             warn("obs: cannot write timeline: ", timelinePath);
-    }
-
-    if (!opts.jsonPath.empty()) {
-        bench.writeFile(opts.jsonPath);
-        std::printf("wrote %s\n", opts.jsonPath.c_str());
     }
     return 0;
 }

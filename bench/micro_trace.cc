@@ -10,23 +10,18 @@
  * replay path trades for the generation cost it skips.
  *
  * Usage: micro_trace [--fast|--full] [--frames N] [--jobs N]
- *        [--record-dir DIR] [--replay-dir DIR] [--json FILE]
+ *        [--record-dir DIR] [--replay-dir DIR]
  *        (ExperimentScale flags; resolution scales scene content.
  *        --record-dir keeps the captures there instead of a deleted
  *        temp file; --replay-dir times existing traces, skipping the
- *        capture step — the trace must match the requested frames.
- *        --json writes the single-run machine-readable document
- *        scripts/bench.py aggregates into BENCH_trace.json.)
+ *        capture step — the trace must match the requested frames.)
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "common/logging.hh"
-#include "sim/bench_json.hh"
 #include "sim/experiment.hh"
 #include "trace/trace_scene.hh"
 #include "trace/trace_writer.hh"
@@ -61,21 +56,7 @@ int
 main(int argc, char **argv)
 {
     setInformEnabled(false);
-    // Strip --json FILE before the strict ExperimentScale parse; the
-    // remaining flags keep their fatal-on-typo contract.
-    std::string jsonPath;
-    std::vector<char *> scaleArgs;
-    for (int i = 0; i < argc; i++) {
-        if (i > 0 && !std::strcmp(argv[i], "--json")) {
-            if (i + 1 >= argc)
-                fatal("--json needs a file argument");
-            jsonPath = argv[++i];
-            continue;
-        }
-        scaleArgs.push_back(argv[i]);
-    }
-    ExperimentScale scale = ExperimentScale::fromArgs(
-        static_cast<int>(scaleArgs.size()), scaleArgs.data());
+    ExperimentScale scale = ExperimentScale::fromArgs(argc, argv);
     GpuConfig config;
     config.scaleResolution(scale.screenWidth, scale.screenHeight);
     const u64 frames = scale.frames;
@@ -89,7 +70,6 @@ main(int argc, char **argv)
                 "generate f/s", "replay f/s", "speedup", "bytes/frame");
 
     u64 sink = 0;
-    BenchJsonWriter bench;
     for (const auto &info : benchmarkSuite()) {
         auto scene = makeBenchmark(info.alias, config, 1);
         std::string path;
@@ -135,19 +115,9 @@ main(int argc, char **argv)
         std::printf("%-10s %14.0f %14.0f %8.2fx %12.0f\n",
                     info.alias.c_str(), n / genSec, n / repSec,
                     genSec / repSec, bytesPerFrame);
-        bench.add("trace." + info.alias + ".generateFramesPerSecond",
-                  "frames/s", /*higherIsBetter=*/true, n / genSec);
-        bench.add("trace." + info.alias + ".replayFramesPerSecond",
-                  "frames/s", /*higherIsBetter=*/true, n / repSec);
-        bench.add("trace." + info.alias + ".bytesPerFrame", "bytes",
-                  /*higherIsBetter=*/false, bytesPerFrame);
         if (!keepTrace)
             std::remove(path.c_str());
     }
     std::printf("(sink %llu)\n", static_cast<unsigned long long>(sink));
-    if (!jsonPath.empty()) {
-        bench.writeFile(jsonPath);
-        std::printf("wrote %s\n", jsonPath.c_str());
-    }
     return 0;
 }

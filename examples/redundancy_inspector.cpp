@@ -6,12 +6,13 @@
  * colors were equal anyway (RE false negative - TE's extra headroom).
  *
  * Usage: redundancy_inspector [alias] [frames]
+ * (frames >= 1; a malformed count is fatal, as in suite_cli)
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "sim/parallel_runner.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
@@ -22,7 +23,9 @@ main(int argc, char **argv)
 {
     setInformEnabled(false);
     std::string alias = argc > 1 ? argv[1] : "ctr";
-    u64 frames = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 6;
+    const u64 frames = argc > 2 ? parseCountArg("frames", argv[2]) : 6;
+    if (frames == 0)
+        fatal("frames must be >= 1");
 
     GpuConfig config;
     config.scaleResolution(400, 256); // 25x16 tile grid fits a terminal

@@ -7,8 +7,7 @@
  *   suite_cli [--workload ALIAS|all] [--tech base,re,te,memo]
  *             [--frames N] [--width W --height H]
  *             [--hash crc32|xor|add|fnv] [--csv FILE] [--json FILE]
- *             [--timing-json FILE] [--quiet] [--jobs N]
- *             [--tile-jobs N] [--seed N]
+ *             [--quiet] [--jobs N] [--tile-jobs N] [--seed N]
  *             [--record-dir DIR] [--replay-dir DIR]
  *             [--assert-conservation] [--obs-dir DIR] [--obs-tiles]
  *             [--progress]
@@ -33,13 +32,9 @@
  * --record-dir captures one frame trace per workload before the runs;
  * --replay-dir feeds the runs from those traces instead of live scene
  * generation — results are bit-identical to the recorded live run.
+ * --frames must be >= 1 and --width/--height in 1..UINT32_MAX; a
+ * malformed or out-of-range number is fatal, never truncated.
  * --json appends one self-describing JSON object per run (JSON-Lines).
- * --timing-json writes host-side wall-clock timing of the sweep as a
- * machine-readable benchmark document (sim/bench_json.hh):
- * sweep.wallSeconds always, plus one cell.<alias>.<tech>.wallSeconds
- * per cell when the sweep streams on a single worker (per-cell wall
- * times of concurrent cells would measure scheduling, not work).
- * scripts/bench.py aggregates these into BENCH_e2e.json.
  * --assert-conservation exits fatally if any run reports a non-zero
  * mem.conservationViolations stat (a memory-hierarchy routing path
  * double-charged or dropped bytes) — the CI traffic-conservation
@@ -57,13 +52,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
 #include "obs/obs.hh"
-#include "sim/bench_json.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
@@ -84,7 +78,6 @@ struct CliOptions
     HashKind hash = HashKind::Crc32;
     std::string csvPath;
     std::string jsonPath;
-    std::string timingJsonPath;
     std::string recordDir;
     std::string replayDir;
     std::string obsDir;
@@ -108,7 +101,7 @@ usage()
                  "[--tech base,re,te,memo] [--frames N]\n"
                  "                 [--width W --height H] "
                  "[--hash crc32|xor|add|fnv] [--csv FILE] "
-                 "[--json FILE] [--timing-json FILE] [--quiet]\n"
+                 "[--json FILE] [--quiet]\n"
                  "                 [--jobs N] [--tile-jobs N] [--seed N] "
                  "[--record-dir DIR] [--replay-dir DIR] "
                  "[--assert-conservation]\n"
@@ -144,21 +137,17 @@ parseArgs(int argc, char **argv)
             while (std::getline(ss, item, ','))
                 opts.techniques.push_back(parseTechniqueArg(item));
         } else if (arg == "--frames") {
-            opts.frames = std::strtoull(next(i), nullptr, 10);
+            opts.frames = parseCountArg("--frames", next(i));
         } else if (arg == "--width") {
-            opts.width = static_cast<u32>(
-                std::strtoul(next(i), nullptr, 10));
+            opts.width = parseDimensionArg("--width", next(i));
         } else if (arg == "--height") {
-            opts.height = static_cast<u32>(
-                std::strtoul(next(i), nullptr, 10));
+            opts.height = parseDimensionArg("--height", next(i));
         } else if (arg == "--hash") {
             opts.hash = parseHashArg(next(i));
         } else if (arg == "--csv") {
             opts.csvPath = next(i);
         } else if (arg == "--json") {
             opts.jsonPath = next(i);
-        } else if (arg == "--timing-json") {
-            opts.timingJsonPath = next(i);
         } else if (arg == "--record-dir") {
             opts.recordDir = next(i);
         } else if (arg == "--replay-dir") {
@@ -184,6 +173,8 @@ parseArgs(int argc, char **argv)
             usage();
         }
     }
+    if (opts.frames == 0)
+        fatal("--frames must be >= 1");
     return opts;
 }
 
@@ -266,14 +257,12 @@ main(int argc, char **argv)
     ParallelRunner runner(opts.jobs);
     const bool streaming = runner.workerCount() <= 1;
 
-    BenchJsonWriter timing;
     auto secondsSince =
         [](std::chrono::steady_clock::time_point t0) {
             return std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                 .count();
         };
-    const auto sweepStart = std::chrono::steady_clock::now();
 
     // Live progress renders on stderr only: stdout stays byte-identical
     // with or without --progress, for any --jobs.
@@ -307,16 +296,9 @@ main(int argc, char **argv)
             if (streaming) {
                 const auto cellStart = std::chrono::steady_clock::now();
                 r = std::move(runner.run({jobs[idx]}).front());
-                const double cellSecs = secondsSince(cellStart);
-                if (!opts.timingJsonPath.empty())
-                    timing.add("cell." + jobs[idx].workload + "."
-                                   + techniqueName(
-                                         jobs[idx].config.technique)
-                                   + ".wallSeconds",
-                               "s", /*higherIsBetter=*/false,
-                               cellSecs);
                 if (opts.progress)
-                    renderProgress(streamTracker.cellDone(idx, cellSecs));
+                    renderProgress(streamTracker.cellDone(
+                        idx, secondsSince(cellStart)));
             } else {
                 r = std::move(allResults[idx]);
             }
@@ -327,13 +309,6 @@ main(int argc, char **argv)
         reportComparison(results);
         for (SimResult &r : results)
             sweepResults.push_back(std::move(r));
-    }
-
-    if (!opts.timingJsonPath.empty()) {
-        timing.add("sweep.wallSeconds", "s", /*higherIsBetter=*/false,
-                   secondsSince(sweepStart));
-        timing.writeFile(opts.timingJsonPath);
-        std::cout << "wrote " << opts.timingJsonPath << "\n";
     }
 
     if (!opts.quiet && sweepResults.size() > 1) {

@@ -105,11 +105,11 @@ cmdRecord(int argc, char **argv)
         else if (arg == "--frames")
             frames = parseCountArg("--frames", nextArg(argc, argv, i));
         else if (arg == "--width")
-            config.screenWidth = static_cast<u32>(
-                parseCountArg("--width", nextArg(argc, argv, i)));
+            config.screenWidth =
+                parseDimensionArg("--width", nextArg(argc, argv, i));
         else if (arg == "--height")
-            config.screenHeight = static_cast<u32>(
-                parseCountArg("--height", nextArg(argc, argv, i)));
+            config.screenHeight =
+                parseDimensionArg("--height", nextArg(argc, argv, i));
         else if (arg == "--seed")
             seed = parseCountArg("--seed", nextArg(argc, argv, i));
         else

@@ -5,7 +5,7 @@ cannot see.
 scripts/lint.py polices single-file bug classes; this tool holds the
 *relationships* between files — the layering DAG of src/, header
 hygiene, and the name-level contracts between the simulator, its
-tests, the bench harness and the README. It is stdlib-only (it
+tests, the benchmark harness and the README. It is stdlib-only (it
 imports the C++ lexer from lint.py, nothing else) and runs in a bare
 container, so it is part of the *unconditional* tier-1 gate in
 scripts/check.sh.
@@ -29,8 +29,9 @@ Rules (ids are stable; see --list-rules):
                 double-definition landmine, breaks the one-TU-per-
                 source CMake model.
   stat-name     Stat names referenced by tests (counter("x.y") /
-                scalar("x.y")), README backticks and scripts/bench.py
-                must exist in src/ — either a stats registration
+                scalar("x.y")), README backticks and the benchmark
+                harness (HARNESS: its dotted string literals) must
+                exist in src/ — either a stats registration
                 (.inc/.add/.set) or an obs cat.name composition
                 (ObsScope/obsCounter/obsInstant). Catches phantom
                 stats left behind by renames. Only dotted names whose
@@ -109,6 +110,12 @@ ALLOWED_DEPS: Dict[str, Tuple[str, ...]] = {
 # (run provenance: which scene/screen produced the numbers).
 JSON_IDENTITY_EXTRAS = ("seed", "screenWidth", "screenHeight",
                         "tileWidth", "tileHeight")
+
+# The benchmark harness reads stats by name through
+# StatRegistry::counter, which returns 0 for an unknown name: a
+# renamed stat would turn one of its correctness checks into a silent
+# pass. Only stat-name reads it (it is outside SCAN_DIRS).
+HARNESS = "perfbench/regpu_bench.cc"
 
 CSV_TABLE_BEGIN = "analyze:csv-schema:begin"
 CSV_TABLE_END = "analyze:csv-schema:end"
@@ -283,6 +290,8 @@ def find_header_guard(tree: Tree) -> List[Violation]:
 def find_include_cc(tree: Tree) -> List[Violation]:
     out = []
     for ft in cxx_files(tree):
+        if ft.path == HARNESS:
+            continue  # read by stat-name only
         for line, inc in src_includes(ft):
             if inc.endswith(".cc"):
                 out.append(Violation(
@@ -370,17 +379,20 @@ def find_stat_name(tree: Tree) -> List[Violation]:
                     f"README documents stat `{name}`, which exists "
                     "nowhere in src/ (renamed or removed?)"))
 
-    # bench.py: dotted string literals with a known prefix.
-    bench = tree.get("scripts/bench.py")
-    if bench is not None:
-        for m in re.finditer(r"""["']([A-Za-z_]\w*(?:\.[\w.]+)+)["']""",
-                             bench.raw):
+    # The benchmark harness: dotted string literals (not comments)
+    # with a known prefix.
+    harness = tree.get(HARNESS)
+    if harness is not None:
+        for m in re.finditer(r'"([A-Za-z_]\w*(?:\.[\w.]+)+)"',
+                             harness.raw):
+            if harness.code[m.start()] != '"':
+                continue  # the quote was blanked: comment text
             name = m.group(1)
             if gated(name) and name not in known:
                 out.append(Violation(
-                    bench.path, line_of(bench.raw, m.start()),
+                    harness.path, line_of(harness.raw, m.start()),
                     "stat-name",
-                    f'bench.py names stat "{name}", which exists '
+                    f'the benchmark reads stat "{name}", which exists '
                     "nowhere in src/ (renamed or removed?)"))
     return out
 
@@ -561,7 +573,7 @@ RULES: List[TreeRule] = [
              "no #include of .cc files",
              find_include_cc),
     TreeRule("stat-name",
-             "stat names in tests/README/bench.py exist in src/",
+             "stat names in tests/README/benchmark exist in src/",
              find_stat_name),
     TreeRule("csv-schema",
              "CSV columns == JSON keys (mod identity) == README table",
@@ -578,7 +590,7 @@ RULES: List[TreeRule] = [
 # --- Scanning ---------------------------------------------------------------
 
 SCAN_DIRS = ("src", "bench", "examples", "tests")
-EXTRA_FILES = ("README.md", "scripts/bench.py")
+EXTRA_FILES = ("README.md", HARNESS)
 
 
 def make_file(path: str, raw: str) -> FileText:
@@ -700,8 +712,11 @@ FIXTURES = {
           '    EXPECT_EQ(counter("raster.tiles"), 1u);\n'
           '    EXPECT_EQ(counter("raster.local"), 1u);\n'
           '    EXPECT_EQ(counter("unrelated.dotted.name"), 0u);\n}\n'),
-         "scripts/bench.py":
-         'NAME = "pipeline.total.framesPerSecond"\n'},
+         HARNESS:
+         ('#include "layer_trace.hh"\n'
+          'u64 f() { return counter("raster.tiles")\n'
+          '    + counter("metric.frames_per_s"); }\n'
+          '// "raster.ghostInComment" is only prose\n')},
     ),
     "csv-schema": (
         {"src/sim/report.cc": BASE_REPORT.replace(
@@ -799,6 +814,12 @@ def self_test() -> int:
     check(any(v.rule == "analyze-suppression"
               for v in analyze_tree(fixture_tree(stale))),
           "stale analyze:allow not reported")
+    # The benchmark harness on its own: a phantom read fires there.
+    phantom = {HARNESS: 'u64 v = counter("raster.phantom");\n'}
+    check(any(v.rule == "stat-name" and v.path == HARNESS
+              for v in analyze_tree(fixture_tree(phantom))),
+          "phantom stat in the benchmark harness not caught")
+
     # Markdown same-line suppression (HTML comment).
     md_allowed = {"README.md": BASE_README +
                   "\nSee `raster.ghostStat` "

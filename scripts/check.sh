@@ -20,6 +20,10 @@
 #    need no toolchain and catch the PR 2/4/6 bug classes plus
 #    cross-file drift (phantom stats, schema/README divergence,
 #    forbidden layer edges) mechanically.
+#  - perfbench/test_stats.py (the bench gate) self-tests the
+#    benchmark's statistics rules (percentiles, spread, the paired
+#    gain rule, regression bounds); stdlib-only, it runs wherever
+#    lint and analyze do.
 #  - clang-tidy (--tidy) is a ZERO-warning gate over src/, bench/,
 #    examples/ and tests/ using the committed .clang-tidy (plus the
 #    narrowing-conversion overlays on the serialization paths). When
@@ -42,20 +46,17 @@
 # was skipped (and why), failed, or was not part of the invoked flow.
 #
 # Usage:
-#   scripts/check.sh             # full tier-1 (lint, analyze, build,
-#                                # ctest, smokes, tidy, tsa, sanitize
-#                                # + tsan passes)
-#   scripts/check.sh --unit      # configure + build + unit tests only
+#   scripts/check.sh             # full tier-1 (lint, analyze, bench,
+#                                # build, ctest, smokes, tidy, tsa,
+#                                # sanitize + tsan passes)
+#   scripts/check.sh --unit      # lint, analyze, bench, then
+#                                # configure + build + unit tests only
 #   scripts/check.sh --lint      # repo-invariant linter only
 #   scripts/check.sh --analyze   # architecture analyzer only
 #   scripts/check.sh --tidy      # clang-tidy zero-warning gate only
 #   scripts/check.sh --tsa       # clang thread-safety analysis only
 #   scripts/check.sh --tsan      # TSan build + parallel suites only
 #   scripts/check.sh --sanitize  # ASan+UBSan build + unit tests only
-#   scripts/check.sh --bench     # bench-harness smoke: one S-profile
-#                                # pass, schema-validate BENCH_*.json,
-#                                # prove --compare fails on a synthetic
-#                                # regression (timings NOT gated)
 #   scripts/check.sh --obs       # observability smoke: sweep with
 #                                # --obs-dir, validate the timeline
 #                                # JSON / per-frame JSONL / heatmap
@@ -79,7 +80,7 @@ TSA_DIR=build-tsa
 # aborts the script inside a failing pass, whatever gate is still
 # marked FAILED at EXIT is the one that sank the run. The table prints
 # from the EXIT trap, after tmpfile cleanup, success or not.
-GATE_ORDER=(lint analyze build ctest smokes obs tidy tsa asan tsan bench)
+GATE_ORDER=(lint analyze bench build ctest smokes obs tidy tsa asan tsan)
 declare -A GATE_STATUS
 for g in "${GATE_ORDER[@]}"; do GATE_STATUS[$g]="not run"; done
 
@@ -243,40 +244,10 @@ run_sanitize_pass() {
     gate_end asan
 }
 
-run_bench_smoke() {
+run_bench_pass() {
     gate_begin bench
-    echo "== bench harness smoke (S profile, 1 repeat; timings non-gating) =="
-    local bench_dir
-    bench_dir=$(mktemp -d)
-    trap 'rm -rf "$bench_dir"' RETURN
-    python3 scripts/bench.py --profile S --repeat 1 --warmup 0 \
-        --build-dir "$BUILD_DIR" --no-build --out-dir "$bench_dir"
-    python3 scripts/bench.py --validate \
-        "$bench_dir"/BENCH_crc.json "$bench_dir"/BENCH_trace.json \
-        "$bench_dir"/BENCH_memsystem.json "$bench_dir"/BENCH_e2e.json
-
-    echo "== bench --compare regression gate smoke =="
-    # Inject a synthetic 2x slowdown; --compare must exit non-zero.
-    python3 - "$bench_dir"/BENCH_e2e.json "$bench_dir"/BENCH_e2e_bad.json \
-        <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-for b in doc["benchmarks"]:
-    b["median"] *= 0.5 if b["better"] == "higher" else 2.0
-    b["samples"] = [b["median"]]
-json.dump(doc, open(sys.argv[2], "w"), indent=2)
-EOF
-    if python3 scripts/bench.py --compare "$bench_dir"/BENCH_e2e.json \
-        "$bench_dir"/BENCH_e2e_bad.json --fail-threshold 10 \
-        > /dev/null; then
-        echo "ERROR: --compare did not flag a 2x synthetic regression" >&2
-        exit 1
-    fi
-    echo "synthetic regression correctly rejected"
-    # And the identity comparison must pass.
-    python3 scripts/bench.py --compare "$bench_dir"/BENCH_e2e.json \
-        "$bench_dir"/BENCH_e2e.json > /dev/null
-    echo "identity comparison correctly accepted"
+    echo "== perfbench statistics self-test =="
+    python3 perfbench/test_stats.py
     gate_end bench
 }
 
@@ -386,17 +357,10 @@ case "${1:-}" in
     echo "== OK =="
     exit 0
     ;;
-  --bench)
-    run_lint_pass
-    run_analyze_pass
-    run_build_pass
-    run_bench_smoke
-    echo "== OK =="
-    exit 0
-    ;;
   --obs)
     run_lint_pass
     run_analyze_pass
+    run_bench_pass
     run_build_pass
     run_obs_smoke
     echo "== OK =="
@@ -409,10 +373,11 @@ if [[ "${1:-}" == "--unit" ]]; then
     LABEL_ARGS=(-L unit)
 fi
 
-# The linter and analyzer need no toolchain: they gate every pass,
-# before the build.
+# The linter, analyzer and benchmark self-test need no toolchain:
+# they gate every pass, before the build.
 run_lint_pass
 run_analyze_pass
+run_bench_pass
 
 run_build_pass
 

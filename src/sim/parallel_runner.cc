@@ -98,6 +98,16 @@ parseTileJobsArg(const char *text)
     return static_cast<unsigned>(v);
 }
 
+u32
+parseDimensionArg(const char *flag, const char *text)
+{
+    const u64 v = parseCountArg(flag, text);
+    if (v == 0 || v > std::numeric_limits<u32>::max())
+        fatal(flag, " expects a number in 1..",
+              std::numeric_limits<u32>::max(), ", got: ", text);
+    return static_cast<u32>(v);
+}
+
 Technique
 parseTechniqueArg(const std::string &name)
 {

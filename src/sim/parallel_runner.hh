@@ -71,6 +71,11 @@ unsigned parseJobsArg(const char *text);
  *  "disable the pool" to some users and "auto" to others. */
 unsigned parseTileJobsArg(const char *text);
 
+/** parseCountArg specialised for --width/--height: a screen
+ *  dimension in 1..UINT32_MAX, so a wider value can never wrap into
+ *  GpuConfig's u32 fields. */
+u32 parseDimensionArg(const char *flag, const char *text);
+
 /** Parse a technique name ("base"/"baseline", "re", "te", "memo");
  *  fatal() on anything else. Shared by the CLI frontends. */
 Technique parseTechniqueArg(const std::string &name);

@@ -40,8 +40,8 @@ csvEscape(const std::string &s)
     return out;
 }
 
-} // namespace
-
+/** Minimal JSON string escaping (quotes, backslashes, control
+ *  chars) for writeJsonRun. */
 std::string
 jsonEscape(const std::string &s)
 {
@@ -66,6 +66,14 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/**
+ * Append @p v to @p os as the shortest decimal string that parses
+ * back to exactly the same double (std::to_chars round-trip
+ * semantics). Locale-independent and immune to whatever
+ * std::fixed/precision state the stream carries — the contract the
+ * CSV and JSON artifacts rely on. Non-finite values are clamped to 0
+ * ("inf"/"nan" are not valid JSON or CSV numbers).
+ */
 std::ostream &
 writeRoundTripDouble(std::ostream &os, double v)
 {
@@ -76,6 +84,8 @@ writeRoundTripDouble(std::ostream &os, double v)
     os.write(buf, res.ptr - buf);
     return os;
 }
+
+} // namespace
 
 void
 printRunSummary(std::ostream &os, const SimResult &r,

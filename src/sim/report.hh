@@ -50,24 +50,6 @@ class StreamFormatGuard
 };
 
 /**
- * Append @p v to @p os as the shortest decimal string that parses
- * back to exactly the same double (std::to_chars round-trip
- * semantics). Locale-independent and immune to whatever
- * std::fixed/precision state the stream carries — the contract every
- * persisted artifact (CSV, JSON, BENCH_*.json) relies on. Non-finite
- * values are clamped to 0 ("inf"/"nan" are not valid JSON or CSV
- * numbers).
- */
-std::ostream &writeRoundTripDouble(std::ostream &os, double v);
-
-/**
- * Minimal JSON string escaping (quotes, backslashes, control chars).
- * Shared by every JSON-emitting frontend (writeJsonRun, the bench
- * machine-readable outputs).
- */
-std::string jsonEscape(const std::string &s);
-
-/**
  * Print a human-readable summary of one run: cycles (split), energy
  * (split), DRAM traffic (per class), tile and fragment accounting,
  * overheads.

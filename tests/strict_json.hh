@@ -7,9 +7,9 @@
  * leading zeros are all rejected, so "parses here" really means
  * "parses everywhere".
  *
- * Shared by the serialization round-trip tests (writeJsonRun /
- * BenchJsonWriter documents) and the observability tests (timeline
- * trace-event JSON, per-frame JSONL). Header-only on purpose: the
+ * Shared by the serialization round-trip tests (writeJsonRun
+ * documents) and the observability tests (timeline trace-event JSON,
+ * per-frame JSONL). Header-only on purpose: the
  * tests/ tree has no library target.
  */
 

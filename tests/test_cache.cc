@@ -1,12 +1,19 @@
 /**
  * @file
- * Set-associative cache model tests: LRU/writeback behaviour plus the
+ * Set-associative cache model tests: LRU/writeback behaviour, the
  * level-linking contract (misses and dirty evictions propagate at
- * their actual line addresses, in the evicting cache's lineBytes).
+ * their actual line addresses, in the evicting cache's lineBytes),
+ * and a differential check against a deliberately naive reference
+ * cache on seeded random streams.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <vector>
+
+#include "common/rng.hh"
 #include "timing/cache.hh"
 #include "timing/dram.hh"
 
@@ -246,4 +253,165 @@ TEST(CacheModel, MissLatencyIncludesDownstreamFill)
               l1.params().hitLatency + l2.params().hitLatency);
     CacheAccessResult hit = l1.access(0x0, false);
     EXPECT_EQ(hit.latency, l1.params().hitLatency);
+}
+
+// ---- Differential oracle -------------------------------------------------
+
+namespace
+{
+
+/**
+ * The naive reference: each set is a std::list of resident lines in
+ * LRU order (front = most recently used), found by linear search. No
+ * tag/index bit tricks, no timestamps. Same policy as CacheModel:
+ * write-back, write-allocate with no refill on a write miss, a dirty
+ * victim written back at its own address and charged to the class
+ * that allocated it, and invalidateAll writing every dirty line back.
+ */
+class NaiveCache
+{
+  public:
+    explicit NaiveCache(const CacheParams &p)
+        : lineBytes(p.lineBytes), ways(p.ways),
+          sets(p.sizeBytes / (p.lineBytes * p.ways))
+    {}
+
+    CacheAccessResult
+    access(Addr addr, bool write, TrafficClass cls)
+    {
+        const Addr line = addr / lineBytes;
+        std::list<Line> &set = sets[line % sets.size()];
+        CacheAccessResult r;
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (it->line == line) {
+                hits++;
+                it->dirty = it->dirty || write;
+                set.splice(set.begin(), set, it);
+                r.hit = true;
+                return r;
+            }
+        }
+        misses++;
+        if (set.size() == ways) {
+            const Line victim = set.back();
+            set.pop_back();
+            if (victim.dirty) {
+                writeBack(victim);
+                r.writeback = true;
+                r.writebackAddr = victim.line * lineBytes;
+            }
+        }
+        if (!write)
+            fills++;
+        set.push_front({line, write, cls});
+        return r;
+    }
+
+    void
+    invalidateAll()
+    {
+        for (std::list<Line> &set : sets) {
+            for (const Line &l : set)
+                if (l.dirty)
+                    writeBack(l);
+            set.clear();
+        }
+    }
+
+    u64 hits = 0, misses = 0, writebacks = 0, fills = 0;
+    u64 writebackBytes[4] = {0, 0, 0, 0};
+
+  private:
+    struct Line
+    {
+        Addr line;
+        bool dirty;
+        TrafficClass cls;
+    };
+
+    void
+    writeBack(const Line &l)
+    {
+        writebacks++;
+        writebackBytes[static_cast<u8>(l.cls)] += lineBytes;
+    }
+
+    u64 lineBytes;
+    std::size_t ways;
+    std::vector<std::list<Line>> sets;
+};
+
+/**
+ * Drive CacheModel and NaiveCache with the same seeded stream and
+ * compare every access, then the totals. Most accesses land in a few
+ * hot sets with three times as many candidate lines as ways, so LRU
+ * evictions of clean and dirty lines happen well before the next
+ * invalidateAll even in the 4096-line L2; the rest scatter over a
+ * wide footprint.
+ */
+void
+expectMatchesNaive(const CacheParams &params, u64 seed)
+{
+    SCOPED_TRACE(params.name);
+    CacheModel model(params);
+    NaiveCache naive(params);
+    Rng rng(seed);
+    const u64 numSets = params.sizeBytes / (params.lineBytes * params.ways);
+    const u64 hotSets = std::min<u64>(numSets, 8);
+    const int accesses = 20000;
+    u64 dirtyEvictions = 0;
+    for (int i = 0; i < accesses; i++) {
+        if (i % 300 == 299) {
+            model.invalidateAll();
+            naive.invalidateAll();
+        }
+        const Addr line = rng.nextBounded(4) != 0
+            ? rng.nextBounded(3 * params.ways) * numSets
+                + rng.nextBounded(hotSets)
+            : rng.nextBounded(1 << 20);
+        const Addr addr =
+            line * params.lineBytes + rng.nextBounded(params.lineBytes);
+        const bool write = rng.nextBounded(3) == 0;
+        const auto cls = static_cast<TrafficClass>(rng.nextBounded(4));
+
+        const CacheAccessResult got = model.access(addr, write, cls);
+        const CacheAccessResult want = naive.access(addr, write, cls);
+        ASSERT_EQ(got.hit, want.hit) << "access " << i;
+        ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
+        ASSERT_EQ(got.writebackAddr, want.writebackAddr)
+            << "access " << i;
+        dirtyEvictions += want.writeback;
+    }
+    model.invalidateAll();
+    naive.invalidateAll();
+
+    EXPECT_EQ(model.hits(), naive.hits);
+    EXPECT_EQ(model.misses(), naive.misses);
+    EXPECT_EQ(model.writebacks(), naive.writebacks);
+    EXPECT_EQ(model.fills(), naive.fills);
+    for (u8 c = 0; c < 4; c++)
+        EXPECT_EQ(model.writebackBytes(static_cast<TrafficClass>(c)),
+                  naive.writebackBytes[c])
+            << "class " << int(c);
+    // The stream must exercise what it claims to.
+    EXPECT_GT(naive.hits, 0u);
+    EXPECT_GT(naive.misses, naive.fills); // write misses allocate
+    EXPECT_GT(dirtyEvictions, 0u);
+    EXPECT_GT(naive.writebacks, dirtyEvictions); // invalidateAll too
+}
+
+} // namespace
+
+TEST(CacheOracle, TableOneGeometriesMatchNaiveLru)
+{
+    const GpuConfig cfg;
+    for (const CacheParams *p :
+         {&cfg.textureCache, &cfg.tileCache, &cfg.l2Cache})
+        expectMatchesNaive(*p, 0x5eed0000 + p->sizeBytes);
+}
+
+TEST(CacheOracle, FourSetTwoWayConflictsMatchNaiveLru)
+{
+    // 4 sets x 2 ways: nearly every access conflicts.
+    expectMatchesNaive(smallCache(4 * 2 * 64, 2, 64, "4set2way"), 42);
 }

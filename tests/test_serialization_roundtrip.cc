@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/bench_json.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -284,29 +283,4 @@ TEST(SerializationRoundTrip, AllWorkloadsEmitStrictJson)
                       keys.end())
                 << info.alias << " missing " << key;
     }
-}
-
-TEST(SerializationRoundTrip, BenchJsonWriterEmitsStrictSortedJson)
-{
-    BenchJsonWriter bench;
-    bench.add("z.last", "s", false, 0.1);
-    bench.add("a.first", "frames/s", true, 100.0 / 3.0);
-    bench.add("m.mid \"quoted\"", "bytes", false, 1e-12);
-
-    std::ostringstream os;
-    // lint:allow(stream-guard): deliberately hostile pre-set state —
-    // BenchJsonWriter must emit round-trip doubles regardless
-    os << std::fixed;
-    os.precision(1); // must not affect the output
-    bench.writeTo(os);
-    const std::string text = os.str();
-
-    StrictJsonParser parser(text);
-    std::string error;
-    ASSERT_TRUE(parser.parse(error)) << error;
-    // Sorted by name.
-    EXPECT_LT(text.find("a.first"), text.find("m.mid"));
-    EXPECT_LT(text.find("m.mid"), text.find("z.last"));
-    // Round-trip value, not 33.3.
-    EXPECT_NE(text.find("33.333333333333336"), std::string::npos);
 }
