@@ -223,7 +223,7 @@ BENCHMARK(BM_Crc32BackendBulk)
 
 // The dispatched path end-to-end: Crc32Stream::update() as the TE
 // tile-signature loop calls it, which hands chunks of >= 64 bytes to
-// the active backend (REGPU_CRC_BACKEND=portable pins the baseline
+// the active backend (BM_Crc32BackendBulk/0 is the portable baseline
 // for comparison).
 static void
 BM_Crc32StreamBulkDispatch(benchmark::State &state)

@@ -27,7 +27,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -83,11 +82,7 @@ parseArgs(int argc, char **argv)
             if (w != "all")
                 opts.workloads = {w};
         } else if (arg == "--tech") {
-            opts.techniques.clear();
-            std::stringstream ss(next(i));
-            std::string item;
-            while (std::getline(ss, item, ','))
-                opts.techniques.push_back(parseTechniqueArg(item));
+            opts.techniques = parseTechniqueListArg(next(i));
         } else if (arg == "--frames") {
             opts.frames = parseCountArg("--frames", next(i));
         } else if (arg == "--width") {

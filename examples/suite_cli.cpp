@@ -20,7 +20,8 @@
  *   suite_cli --workload all --replay-dir traces/ --csv replay.csv
  *
  * --jobs N runs the (workload x technique) sweep on N worker threads
- * (0 = all cores). Output and CSV are bit-identical for any N.
+ * (0 = all cores). Output and CSV are bit-identical for any N: each
+ * cell's summary prints once it and every earlier cell are done.
  * --tile-jobs N rasterizes each frame's tiles on N intra-frame
  * workers (N >= 1; docs/ARCHITECTURE.md has the threading model).
  * Output stays bit-identical for any N, and composes with --jobs:
@@ -47,15 +48,14 @@
  * for any --jobs. --obs-tiles additionally records per-tile spans
  * (numTiles events per frame — large).
  * --progress renders live sweep progress (cells done/total, EWMA cell
- * time, ETA) on stderr; stdout is untouched.
+ * time, ETA) on stderr, one update per cell in job order; stdout is
+ * untouched.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "obs/obs.hh"
 #include "sim/parallel_runner.hh"
@@ -131,11 +131,7 @@ parseArgs(int argc, char **argv)
                 opts.workloads = {w};
             }
         } else if (arg == "--tech") {
-            opts.techniques.clear();
-            std::stringstream ss(next(i));
-            std::string item;
-            while (std::getline(ss, item, ','))
-                opts.techniques.push_back(parseTechniqueArg(item));
+            opts.techniques = parseTechniqueListArg(next(i));
         } else if (arg == "--frames") {
             opts.frames = parseCountArg("--frames", next(i));
         } else if (arg == "--width") {
@@ -235,7 +231,26 @@ main(int argc, char **argv)
         }
     }
 
-    auto reportRun = [&](SimResult &r, const SimJob &job) {
+    // The runner reports each cell on this thread, in job order, as
+    // soon as it and every earlier cell are done, so summaries stream
+    // while later cells run and stdout is the same for any --jobs.
+    // Jobs are workload-major, so a workload's comparison follows its
+    // last technique.
+    std::vector<SimResult> workloadResults;
+    auto reportCell = [&](const ProgressUpdate &u, const SimResult &r) {
+        const SimJob &job = jobs[u.jobIndex];
+        // Progress renders on stderr only: stdout stays byte-identical
+        // with or without --progress.
+        if (opts.progress) {
+            std::fprintf(
+                stderr, "\r[%zu/%zu] %s.%s %.2fs | avg %.2fs | eta %.0fs   ",
+                u.done, u.total, job.workload.c_str(),
+                techniqueName(job.config.technique), u.cellSeconds,
+                u.ewmaCellSeconds, u.etaSeconds);
+            if (u.done == u.total)
+                std::fputc('\n', stderr);
+            std::fflush(stderr);
+        }
         if (!opts.quiet) {
             printRunSummary(std::cout, r, job.config);
             std::cout << "\n";
@@ -246,70 +261,18 @@ main(int argc, char **argv)
         }
         if (json.is_open())
             writeJsonRun(json, r, job.config, job.sceneSeed);
-    };
-    auto reportComparison = [&](const std::vector<SimResult> &results) {
-        if (!opts.quiet && results.size() > 1) {
-            printComparison(std::cout, results);
+        workloadResults.push_back(r);
+        if (workloadResults.size() < opts.techniques.size())
+            return;
+        if (!opts.quiet && workloadResults.size() > 1) {
+            printComparison(std::cout, workloadResults);
             std::cout << "\n";
         }
+        workloadResults.clear();
     };
 
-    ParallelRunner runner(opts.jobs);
-    const bool streaming = runner.workerCount() <= 1;
-
-    auto secondsSince =
-        [](std::chrono::steady_clock::time_point t0) {
-            return std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                .count();
-        };
-
-    // Live progress renders on stderr only: stdout stays byte-identical
-    // with or without --progress, for any --jobs.
-    auto renderProgress = [&](const ProgressUpdate &u) {
-        std::fprintf(
-            stderr, "\r[%zu/%zu] %s.%s %.2fs | avg %.2fs | eta %.0fs   ",
-            u.done, u.total, jobs[u.jobIndex].workload.c_str(),
-            techniqueName(jobs[u.jobIndex].config.technique),
-            u.cellSeconds, u.ewmaCellSeconds, u.etaSeconds);
-        if (u.done == u.total)
-            std::fputc('\n', stderr);
-        std::fflush(stderr);
-    };
-
-    std::vector<SimResult> allResults;
-    if (!streaming)
-        allResults = runner.run(jobs, opts.progress
-                                          ? ProgressFn(renderProgress)
-                                          : ProgressFn{});
-    ProgressTracker streamTracker(jobs.size(), /*workers=*/1);
-
-    std::vector<SimResult> sweepResults;
-    sweepResults.reserve(jobs.size());
-    std::size_t idx = 0;
-    for (std::size_t w = 0; w < opts.workloads.size(); w++) {
-        std::vector<SimResult> results;
-        for (std::size_t t = 0; t < opts.techniques.size(); t++) {
-            // With a single worker, run cells one at a time so each
-            // summary streams as soon as its run finishes.
-            SimResult r;
-            if (streaming) {
-                const auto cellStart = std::chrono::steady_clock::now();
-                r = std::move(runner.run({jobs[idx]}).front());
-                if (opts.progress)
-                    renderProgress(streamTracker.cellDone(
-                        idx, secondsSince(cellStart)));
-            } else {
-                r = std::move(allResults[idx]);
-            }
-            reportRun(r, jobs[idx]);
-            results.push_back(std::move(r));
-            idx++;
-        }
-        reportComparison(results);
-        for (SimResult &r : results)
-            sweepResults.push_back(std::move(r));
-    }
+    const std::vector<SimResult> sweepResults =
+        ParallelRunner(opts.jobs).run(jobs, reportCell);
 
     if (!opts.quiet && sweepResults.size() > 1) {
         const SimResult agg = mergeResults(sweepResults);

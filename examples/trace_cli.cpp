@@ -37,7 +37,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -236,11 +235,7 @@ cmdReplay(int argc, char **argv)
     for (int i = 3; i < argc; i++) {
         std::string arg = argv[i];
         if (arg == "--tech") {
-            techniques.clear();
-            std::stringstream ss(nextArg(argc, argv, i));
-            std::string item;
-            while (std::getline(ss, item, ','))
-                techniques.push_back(parseTechniqueArg(item));
+            techniques = parseTechniqueListArg(nextArg(argc, argv, i));
         } else if (arg == "--hash") {
             hash = parseHashArg(nextArg(argc, argv, i));
         } else if (arg == "--jobs") {

@@ -28,12 +28,11 @@ Rules (ids are stable; see --list-rules):
   include-cc    #include of a .cc file compiles a TU into another TU:
                 double-definition landmine, breaks the one-TU-per-
                 source CMake model.
-  stat-name     Stat names referenced by tests (counter("x.y") /
-                scalar("x.y")), README backticks and the benchmark
-                harness (HARNESS: its dotted string literals) must
-                exist in src/ — either a stats registration
-                (.inc/.add/.set) or an obs cat.name composition
-                (ObsScope/obsCounter/obsInstant). Catches phantom
+  stat-name     Stat names referenced by tests (counter("x.y")),
+                README backticks and the benchmark harness (HARNESS:
+                its dotted string literals) must exist in src/ —
+                either a stats registration (.inc) or an obs
+                cat.name composition (ObsScope/obsCounter/obsInstant). Catches phantom
                 stats left behind by renames. Only dotted names whose
                 prefix is an actual src/ stat/obs prefix are gated, so
                 unrelated dotted tokens (file names, bench record ids)
@@ -305,13 +304,12 @@ def find_include_cc(tree: Tree) -> List[Violation]:
 # --- stat-name --------------------------------------------------------------
 
 def stat_definitions(tree: Tree, prefix: str) -> set:
-    """Names registered via .inc/.add/.set("...") in files under
+    """Names registered via .inc("...") in files under
     @p prefix. Call shape matched in the code view, name read from
     raw, so comments can't define and literals can't hide."""
     names = set()
     for ft in cxx_files(tree, prefix):
-        for m in re.finditer(r'\.(?:inc|add|set)\s*\(\s*(")',
-                             ft.code):
+        for m in re.finditer(r'\.inc\s*\(\s*(")', ft.code):
             name = quoted_arg_at(ft.raw, m.start(1))
             if name:
                 names.add(name)
@@ -351,12 +349,11 @@ def find_stat_name(tree: Tree) -> List[Violation]:
 
     out = []
 
-    # Tests: counter("x.y") / scalar("x.y") reads, minus names the
-    # test registers itself (stats registries are test-local there).
+    # Tests: counter("x.y") reads, minus names the test registers
+    # itself (stats registries are test-local there).
     for ft in cxx_files(tree, "tests/"):
         local = stat_definitions({ft.path: ft}, "")
-        for m in re.finditer(r'\b(?:counter|scalar)\s*\(\s*(")',
-                             ft.code):
+        for m in re.finditer(r'\bcounter\s*\(\s*(")', ft.code):
             name = quoted_arg_at(ft.raw, m.start(1))
             if (gated(name) and name not in known
                     and name not in local):

@@ -5,12 +5,13 @@
 # Configures, builds (-Wall -Wextra -Wshadow -Wnon-virtual-dtor,
 # warnings are the build's problem to stay clean of), runs every
 # registered ctest suite, and finishes with three smokes: a suite_cli
-# determinism pass (a parallel sweep must emit a CSV bit-identical to
-# the sequential one), a tile worker pool determinism pass (the same
-# sweep must be bit-identical across --tile-jobs 1/4/8, with the
-# observability sink off and on) and a trace record->verify->replay
-# pass (replaying a recorded trace must emit a CSV bit-identical to
-# the live run, and trace_cli verify must hold).
+# determinism pass (a parallel sweep must emit stdout and a CSV
+# bit-identical to the sequential one), a tile worker pool
+# determinism pass (the same sweep must be bit-identical across
+# --tile-jobs 1/4/8, with the observability sink off and on) and a
+# trace record->verify->replay pass (replaying a recorded trace must
+# emit a CSV bit-identical to the live run, and trace_cli verify must
+# hold).
 #
 # Static & concurrency analysis gates:
 #  - scripts/lint.py (repo-invariant linter) and scripts/analyze.py
@@ -392,20 +393,28 @@ if [[ "${1:-}" != "--unit" ]]; then
     # --assert-conservation makes every run verify the memory
     # hierarchy's byte accounting (bytes-in == L1 hits + L2 fills +
     # DRAM traffic at every level boundary) and exit non-zero on any
-    # violation.
+    # violation. Without --quiet, stdout carries the per-cell
+    # summaries streamed from the runner's in-order callback; only
+    # the "wrote <csv>" line names a run-specific file, so it is
+    # left out of the comparison.
     seq_csv=$(mktemp)
     par_csv=$(mktemp)
+    seq_out=$(mktemp)
+    par_out=$(mktemp)
     replay_csv=$(mktemp)
     trace_dir=$(mktemp -d)
-    CLEANUP_PATHS+=("$seq_csv" "$par_csv" "$replay_csv" "$trace_dir")
+    CLEANUP_PATHS+=("$seq_csv" "$par_csv" "$seq_out" "$par_out" \
+                    "$replay_csv" "$trace_dir")
     "$BUILD_DIR"/suite_cli --workload all --tech base,re --frames 6 \
-        --width 256 --height 160 --quiet --csv "$seq_csv" --jobs 1 \
-        --record-dir "$trace_dir" --assert-conservation
+        --width 256 --height 160 --csv "$seq_csv" --jobs 1 \
+        --record-dir "$trace_dir" --assert-conservation > "$seq_out"
     "$BUILD_DIR"/suite_cli --workload all --tech base,re --frames 6 \
-        --width 256 --height 160 --quiet --csv "$par_csv" --jobs 4 \
-        --assert-conservation
+        --width 256 --height 160 --csv "$par_csv" --jobs 4 \
+        --assert-conservation > "$par_out"
     cmp "$seq_csv" "$par_csv"
-    echo "parallel sweep CSV is bit-identical to sequential"
+    cmp <(grep -vxF "wrote $seq_csv" "$seq_out") \
+        <(grep -vxF "wrote $par_csv" "$par_out")
+    echo "parallel sweep stdout and CSV are bit-identical to sequential"
 
     echo "== tile worker pool determinism smoke (--tile-jobs 1/4/8, obs on/off) =="
     # The intra-frame pool's contract: tile-parallel rendering is

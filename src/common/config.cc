@@ -81,8 +81,8 @@ void
 GpuConfig::print(std::ostream &os) const
 {
     os << "GPU configuration (Table I)\n"
-       << "  clock           : " << frequencyHz / 1e6 << " MHz, "
-       << voltage << " V, " << technologyNm << " nm\n"
+       << "  clock           : " << frequencyHz / 1e6
+       << " MHz, 1 V, 32 nm\n"
        << "  screen          : " << screenWidth << "x" << screenHeight
        << " (" << tilesX() << "x" << tilesY() << " tiles of "
        << tileWidth << "x" << tileHeight << ")\n"

@@ -65,8 +65,6 @@ struct GpuConfig
 {
     // --- Tech specs -----------------------------------------------------
     u64 frequencyHz = 400'000'000;  //!< 400 MHz
-    double voltage = 1.0;           //!< 1 V
-    u32 technologyNm = 32;          //!< 32 nm
 
     // --- Screen ---------------------------------------------------------
     u32 screenWidth = 1196;
@@ -78,7 +76,6 @@ struct GpuConfig
     Cycles dramMinLatency = 50;
     Cycles dramMaxLatency = 100;
     u32 dramBytesPerCycle = 4;      //!< dual-channel LPDDR3
-    u64 dramSizeBytes = 1 * MiB * 1024; //!< 1 GB
     /** Memory-controller request queue depth: bounds how far the DRAM
      *  backlog can grow before the producer throttles (contention
      *  model in timing/dram.hh). */
@@ -105,8 +102,6 @@ struct GpuConfig
 
     // --- Non-programmable stage throughputs -------------------------------
     u32 trianglesPerCycle = 1;      //!< primitive assembly
-    u32 rasterAttrsPerCycle = 16;   //!< rasterizer
-    u32 earlyZInFlightQuads = 32;
 
     // --- Programmable stages ----------------------------------------------
     u32 numVertexProcessors = 1;
@@ -117,7 +112,6 @@ struct GpuConfig
 
     // --- Rendering Elimination parameters ---------------------------------
     u32 otQueueEntries = 16;        //!< Overlapped Tiles Queue depth
-    u32 crcSubblockBytes = 8;       //!< Compute CRC unit sub-block size
     /** Periodically force-render every tile to refresh the Frame Buffer
      *  (0 disables the refresh). */
     u32 refreshPeriodFrames = 0;

@@ -20,7 +20,7 @@ namespace regpu
 {
 
 /**
- * A registry of named 64-bit counters and double-valued scalars.
+ * A registry of named 64-bit counters.
  * Not a singleton: each simulator instance owns one so that parallel
  * experiments do not interfere.
  *
@@ -44,17 +44,6 @@ class StatRegistry
             it->second += delta;
     }
 
-    /** Add to (creating if absent) a floating-point scalar. */
-    void
-    add(std::string_view name, double delta)
-    {
-        auto it = scalars.find(name);
-        if (it == scalars.end())
-            scalars.emplace(std::string(name), delta);
-        else
-            it->second += delta;
-    }
-
     /** Read a counter (0 if absent). */
     u64
     counter(std::string_view name) const
@@ -63,20 +52,11 @@ class StatRegistry
         return it == counters.end() ? 0 : it->second;
     }
 
-    /** Read a scalar (0.0 if absent). */
-    double
-    scalar(std::string_view name) const
-    {
-        auto it = scalars.find(name);
-        return it == scalars.end() ? 0.0 : it->second;
-    }
-
     /** Reset everything to zero. */
     void
     reset()
     {
         counters.clear();
-        scalars.clear();
     }
 
     /**
@@ -90,15 +70,6 @@ class StatRegistry
     forEachCounter(Fn &&fn) const
     {
         for (const auto &[name, val] : counters)
-            fn(std::string_view(name), val);
-    }
-
-    /** Visit every scalar in name order: fn(std::string_view, double). */
-    template <typename Fn>
-    void
-    forEachScalar(Fn &&fn) const
-    {
-        for (const auto &[name, val] : scalars)
             fn(std::string_view(name), val);
     }
 
@@ -116,19 +87,6 @@ class StatRegistry
             fn(std::string_view(it->first), it->second);
     }
 
-    /** Visit scalars whose name starts with @p prefix. */
-    template <typename Fn>
-    void
-    forEachScalarPrefixed(std::string_view prefix, Fn &&fn) const
-    {
-        for (auto it = scalars.lower_bound(prefix);
-             it != scalars.end()
-             && std::string_view(it->first)
-                        .substr(0, prefix.size()) == prefix;
-             ++it)
-            fn(std::string_view(it->first), it->second);
-    }
-
     /** Dump all stats, sorted by name. */
     void
     dump(std::ostream &os) const
@@ -136,19 +94,13 @@ class StatRegistry
         forEachCounter([&os](std::string_view name, u64 val) {
             os << name << " " << val << "\n";
         });
-        forEachScalar([&os](std::string_view name, double val) {
-            os << name << " " << val << "\n";
-        });
     }
 
     const std::map<std::string, u64, std::less<>> &allCounters() const
     { return counters; }
-    const std::map<std::string, double, std::less<>> &allScalars() const
-    { return scalars; }
 
   private:
     std::map<std::string, u64, std::less<>> counters;
-    std::map<std::string, double, std::less<>> scalars;
 };
 
 } // namespace regpu

@@ -69,10 +69,6 @@
 #define REGPU_RELEASE(...) \
     REGPU_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
 
-/** Function that acquires the capability only when returning @p ret. */
-#define REGPU_TRY_ACQUIRE(...) \
-    REGPU_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
-
 /** Function callable only with the given capabilities NOT held (the
  *  public entry points of self-locking classes). */
 #define REGPU_EXCLUDES(...) \
@@ -101,7 +97,6 @@ class REGPU_CAPABILITY("mutex") Mutex
 
     void lock() REGPU_ACQUIRE() { m.lock(); }
     void unlock() REGPU_RELEASE() { m.unlock(); }
-    bool tryLock() REGPU_TRY_ACQUIRE(true) { return m.try_lock(); }
 
   private:
     std::mutex m;

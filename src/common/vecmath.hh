@@ -166,17 +166,6 @@ struct Mat4
         return r;
     }
 
-    /** Rotation about X (radians). */
-    static Mat4
-    rotateX(float rad)
-    {
-        Mat4 r = identity();
-        float c = std::cos(rad), s = std::sin(rad);
-        r.m[1][1] = c; r.m[1][2] = s;
-        r.m[2][1] = -s; r.m[2][2] = c;
-        return r;
-    }
-
     /** Right-handed perspective projection (like gluPerspective). */
     static Mat4
     perspective(float fovyRad, float aspect, float zNear, float zFar)

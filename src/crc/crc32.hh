@@ -200,10 +200,9 @@ class CrcTables
  * Append @p n message bytes to a running CRC through the fastest
  * hashing engine available on this machine: PCLMULQDQ folding on x86,
  * the CRC32 extension on ARMv8, the slice-by-8 tables everywhere else
- * (runtime-dispatched once per process, overridable with
- * REGPU_CRC_BACKEND - see crc32_backend.hh). Bit-identical to the
- * portable path for every byte length and every seed; Crc32Stream
- * routes large update() calls here.
+ * (runtime-dispatched once per process - see crc32_backend.hh).
+ * Bit-identical to the portable path for every byte length and every
+ * seed; Crc32Stream routes large update() calls here.
  */
 u32 crc32AppendBulk(u32 crc, const u8 *data, std::size_t n);
 

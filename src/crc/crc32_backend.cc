@@ -1,6 +1,5 @@
 #include "crc/crc32_backend.hh"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -164,30 +163,6 @@ armCrcSupported()
 CrcBackend
 resolveBackend()
 {
-    const char *env = std::getenv("REGPU_CRC_BACKEND");
-    if (env && *env && std::strcmp(env, "auto") != 0) {
-        if (std::strcmp(env, "portable") == 0)
-            return CrcBackend::Portable;
-        CrcBackend forced;
-        if (std::strcmp(env, "clmul") == 0) {
-            forced = CrcBackend::Clmul;
-        } else if (std::strcmp(env, "arm") == 0) {
-            forced = CrcBackend::ArmCrc;
-        } else {
-            warn("REGPU_CRC_BACKEND=", env,
-                 " not recognised (portable|clmul|arm|auto); using auto");
-            forced = CrcBackend::Portable;
-            env = nullptr;
-        }
-        if (env) {
-            if (crcBackendAvailable(forced))
-                return forced;
-            warn("REGPU_CRC_BACKEND=", env,
-                 " unavailable on this CPU/build; falling back to "
-                 "portable");
-            return CrcBackend::Portable;
-        }
-    }
 #if defined(REGPU_HAVE_CLMUL)
     if (clmulSupported())
         return CrcBackend::Clmul;

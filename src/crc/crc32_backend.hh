@@ -20,10 +20,10 @@
  *    run the reflected engine, rev the result back.
  *
  * Both are validated against crc32Reference / the slice-by-8 portable
- * path by property tests for every byte length; the dispatcher is
- * resolved once per process (thread-safe magic static, the same
- * pattern as CrcTables::instance()) and can be overridden with the
- * environment variable REGPU_CRC_BACKEND=portable|clmul|arm|auto.
+ * path by property tests for every byte length; the dispatcher
+ * picks the fastest available engine once per process (thread-safe
+ * magic static, the same pattern as CrcTables::instance()).
+ * crc32AppendWith() pins a single engine for tests and benchmarks.
  */
 
 #ifndef REGPU_CRC_CRC32_BACKEND_HH
@@ -51,8 +51,8 @@ const char *crcBackendName(CrcBackend backend);
  *  CPU advertises the ISA). Portable is always true. */
 bool crcBackendAvailable(CrcBackend backend);
 
-/** The backend the dispatcher resolved for this process: the env
- *  override if set and available, else the fastest available. */
+/** The backend the dispatcher resolved for this process: the fastest
+ *  available one. */
 CrcBackend crcActiveBackend();
 
 /**

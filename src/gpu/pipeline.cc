@@ -220,7 +220,8 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
             }
         };
 
-        runTilesOrdered(numTiles, direct ? 1 : tileJobs, phase1, merge);
+        runOrdered(numTiles, direct ? 1 : tileJobs, phase1, merge,
+                   "tileWorker");
     }
 
     if (hooks)

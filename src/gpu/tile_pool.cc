@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <exception>
+#include <optional>
 #include <thread>
 
 #include "common/logging.hh"
@@ -15,12 +16,11 @@ namespace regpu
 namespace
 {
 
-/** Shared pool state for one frame's tile batch: per-tile done flags
- *  published by workers, consumed in order by the merging caller, and
- *  first-exception capture (ParallelRunner's ErrorState discipline).
- *  The condition variable pairs with the annotated mutex; it needs no
- *  capability annotation of its own (waiting releases/reacquires the
- *  mutex internally, invisible to — and safe under — the analysis). */
+/** Shared pool state for one batch: per-index done flags published by
+ *  workers, consumed in order by the merging caller, and first-exception
+ *  capture. The condition variable pairs with the annotated mutex; it
+ *  needs no capability annotation of its own (waiting releases/reacquires
+ *  the mutex internally, invisible to — and safe under — the analysis). */
 struct BatchState
 {
     Mutex mutex;
@@ -32,18 +32,19 @@ struct BatchState
 } // namespace
 
 void
-runTilesOrdered(u32 numTiles, unsigned jobs,
-                const std::function<void(TileId)> &phase1,
-                const std::function<void(TileId)> &merge)
+runOrdered(std::size_t count, unsigned jobs,
+           const std::function<void(std::size_t)> &step,
+           const std::function<void(std::size_t)> &merge,
+           const char *workerSpan)
 {
-    if (jobs > numTiles)
-        jobs = numTiles;
+    if (jobs > count)
+        jobs = static_cast<unsigned>(count);
     if (jobs <= 1) {
-        // The serial pipeline, definitionally: phase 1 and its merge
-        // back-to-back per tile, ascending.
-        for (TileId tile = 0; tile < numTiles; tile++) {
-            phase1(tile);
-            merge(tile);
+        // The serial loop, definitionally: each step and its merge
+        // back-to-back, ascending.
+        for (std::size_t i = 0; i < count; i++) {
+            step(i);
+            merge(i);
         }
         return;
     }
@@ -51,26 +52,27 @@ runTilesOrdered(u32 numTiles, unsigned jobs,
     BatchState state;
     {
         MutexLock lock(state.mutex);
-        state.done.assign(numTiles, 0);
+        state.done.assign(count, 0);
     }
-    // Tile-claim counter: the sanctioned lone-atomic pattern (same as
-    // ParallelRunner's job counter) — claim order is a race by design,
-    // and nothing downstream depends on it because the merge below is
-    // order-fixed.
-    std::atomic<u32> nextTile{0};
+    // Claim counter: the sanctioned lone-atomic pattern — claim order
+    // is a race by design, and nothing downstream depends on it
+    // because the merge below is order-fixed.
+    std::atomic<std::size_t> next{0};
 
     auto workerLoop = [&](unsigned workerIndex) {
-        ObsScope span("gpu", "tileWorker", "worker",
-                      static_cast<i64>(workerIndex), "tiles",
-                      static_cast<i64>(numTiles));
+        std::optional<ObsScope> span;
+        if (workerSpan)
+            span.emplace("gpu", workerSpan, "worker",
+                         static_cast<i64>(workerIndex), "tiles",
+                         static_cast<i64>(count));
         while (true) {
-            const TileId tile =
-                nextTile.fetch_add(1, std::memory_order_relaxed);
-            if (tile >= numTiles)
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count)
                 return;
             bool failed = false;
             try {
-                phase1(tile);
+                step(i);
             } catch (...) {
                 failed = true;
                 MutexLock lock(state.mutex);
@@ -79,10 +81,10 @@ runTilesOrdered(u32 numTiles, unsigned jobs,
             }
             {
                 MutexLock lock(state.mutex);
-                // A failed tile still publishes "done" so the merging
+                // A failed step still publishes "done" so the merging
                 // caller wakes up and sees the error instead of
                 // blocking on a result that will never come.
-                state.done[tile] = failed ? 2 : 1;
+                state.done[i] = failed ? 2 : 1;
             }
             state.ready.notify_all();
         }
@@ -93,23 +95,23 @@ runTilesOrdered(u32 numTiles, unsigned jobs,
     for (unsigned w = 0; w < jobs; w++)
         workers.emplace_back(workerLoop, w);
 
-    // Eager in-order merge: wait for tile t, fold it, move on. A merge
-    // callback that throws must still join the pool before the
+    // Eager in-order merge: wait for index i, fold it, move on. A
+    // merge callback that throws must still join the pool before the
     // exception propagates, so the loop records rather than throws.
     std::exception_ptr mergeError;
-    for (TileId tile = 0; tile < numTiles && !mergeError; tile++) {
-        bool tileFailed = false;
+    for (std::size_t i = 0; i < count && !mergeError; i++) {
+        bool stepFailed = false;
         {
             MutexLock lock(state.mutex);
-            while (state.done[tile] == 0 && !state.firstError)
+            while (state.done[i] == 0 && !state.firstError)
                 state.ready.wait(state.mutex);
-            tileFailed = state.done[tile] != 1
+            stepFailed = state.done[i] != 1
                 || static_cast<bool>(state.firstError);
         }
-        if (tileFailed)
+        if (stepFailed)
             break;
         try {
-            merge(tile);
+            merge(i);
         } catch (...) {
             mergeError = std::current_exception();
         }

@@ -1,26 +1,27 @@
 /**
  * @file
- * Intra-frame tile worker pool: runs per-tile phase-1 work (raster +
- * shade + signature, side-effect-free against shared state) on worker
- * threads, while the calling thread folds results back in strict
- * ascending tile order — the same bit-identical-for-any-job-count
- * merge discipline ParallelRunner established for sweep cells, one
- * level down (docs/ARCHITECTURE.md spells out the model).
+ * The ordered worker pool, used at two granularities: the raster
+ * phase runs one frame's tiles on it, and ParallelRunner runs a
+ * sweep's cells on it. Work steps run on worker threads in any
+ * order, while the calling thread merges results back in strict
+ * ascending index order, which keeps output bit-identical for any
+ * worker count (docs/ARCHITECTURE.md spells out the model).
  *
- * The split the pipeline feeds this with:
+ * The split the tile loop feeds this with:
  *
- *  - phase1(tile): touches only that tile's private TileTask slot plus
- *    state that is read-only during the raster phase (binned frame,
- *    draws, textures, signature buffers) or per-tile-disjoint (the
- *    Frame Buffer's tile regions). Any claim order is sound.
+ *  - step(tile), the pipeline's phase 1: touches only that tile's
+ *    private TileTask slot plus state that is read-only during the
+ *    raster phase (binned frame, draws, textures, signature buffers)
+ *    or per-tile-disjoint (the Frame Buffer's tile regions). Any
+ *    claim order is sound.
  *  - merge(tile): everything order-sensitive — MemSystem replay,
  *    StatRegistry folds, signature-buffer writes, Frame Buffer tile
  *    flushes — executed by the caller, eagerly, for tile 0..N-1 as
- *    each phase-1 result becomes ready.
+ *    each step result becomes ready.
  *
  * With jobs <= 1 no threads are spawned and the pair is executed
- * inline per tile, which is *definitionally* the serial pipeline; the
- * parallel schedule is equivalent because phase-1 writes are disjoint
+ * inline per index, which is *definitionally* the serial loop; the
+ * parallel schedule is equivalent because step writes are disjoint
  * and merge order is fixed.
  */
 
@@ -122,21 +123,23 @@ class MemEventRecorder : public MemTraceSink
 };
 
 /**
- * Execute @p phase1 for every tile in [0, numTiles) on up to @p jobs
+ * Execute @p step for every index in [0, count) on up to @p jobs
  * worker threads (any completion order), and @p merge on the calling
- * thread in strict ascending tile order; merge(t) runs only after
- * phase1(t) returned, eagerly as results arrive (the caller never
- * waits for the whole frame before folding).
+ * thread in strict ascending index order; merge(i) runs only after
+ * step(i) returned, eagerly as results arrive (the caller never waits
+ * for the whole batch before folding).
  *
- * jobs <= 1 executes both inline per tile with no thread spawned.
+ * jobs <= 1 executes both inline per index with no thread spawned.
  * Worker exceptions are captured first-wins and rethrown on the
- * calling thread after all workers joined. Each worker's frame
- * participation is wrapped in an ungated "gpu/tileWorker" ObsScope so
+ * calling thread after all workers joined. When @p workerSpan is set,
+ * each worker's participation is wrapped in an ungated "gpu" ObsScope
+ * of that name, with the worker index and @p count as args, so
  * Perfetto timelines show pool occupancy.
  */
-void runTilesOrdered(u32 numTiles, unsigned jobs,
-                     const std::function<void(TileId)> &phase1,
-                     const std::function<void(TileId)> &merge);
+void runOrdered(std::size_t count, unsigned jobs,
+                const std::function<void(std::size_t)> &step,
+                const std::function<void(std::size_t)> &merge,
+                const char *workerSpan = nullptr);
 
 } // namespace regpu
 

@@ -50,11 +50,10 @@ extern std::atomic<bool> enabledFlag;
  *  magnitude more events than the coarse spans, so opt-in. */
 extern std::atomic<bool> tileDetailFlag;
 
-/** Minimal JSON string/number writers shared by the obs emitters.
+/** Minimal JSON string writer shared by the obs emitters.
  *  Deliberately local to this layer: sim/report.hh's helpers sit
  *  above obs and must not be depended on downward. */
 void writeJsonString(std::ostream &os, std::string_view s);
-void writeJsonDouble(std::ostream &os, double v);
 } // namespace obs_detail
 
 /** True when the timeline sink is recording (the only cost every

@@ -143,27 +143,11 @@ RunObsWriter::endFrame(u64 frame, const StatRegistry &stats,
         obs_detail::writeJsonString(os, name);
         os << ":" << (val >= prev ? val - prev : 0);
     });
-    os << "},\"scalars\":{";
-    first = true;
-    stats.forEachScalar([&](std::string_view name, double val) {
-        auto it = prevScalars.find(std::string(name));
-        const double prev = it == prevScalars.end() ? 0.0 : it->second;
-        if (!first)
-            os << ",";
-        first = false;
-        obs_detail::writeJsonString(os, name);
-        os << ":";
-        obs_detail::writeJsonDouble(os, val - prev);
-    });
     os << "}}\n";
 
     prevCounters.clear();
-    prevScalars.clear();
     stats.forEachCounter([&](std::string_view name, u64 val) {
         prevCounters.emplace(std::string(name), val);
-    });
-    stats.forEachScalar([&](std::string_view name, double val) {
-        prevScalars.emplace(std::string(name), val);
     });
 }
 

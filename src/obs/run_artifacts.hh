@@ -14,8 +14,8 @@
  *   <tag>.frames.jsonl        one JSON object per frame with the
  *                             frame's cycle split, DRAM bytes and the
  *                             per-frame *delta* of every StatRegistry
- *                             counter/scalar (Fig. 1-style
- *                             trajectories instead of run totals)
+ *                             counter (Fig. 1-style trajectories
+ *                             instead of run totals)
  *   <tag>.heat.re.csv         long-format tile map, one row per
  *                             (frame, tile): 1 = skipped by RE
  *   <tag>.heat.te.csv         1 = rendered but flush elided by TE
@@ -96,7 +96,6 @@ class RunObsWriter
     std::vector<u64> totRe, totTe, totDram;
 
     std::map<std::string, u64> prevCounters;
-    std::map<std::string, double> prevScalars;
 
     bool finished = false;
 };

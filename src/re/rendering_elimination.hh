@@ -180,7 +180,6 @@ class RenderingElimination : public PipelineHooks
     Cycles frameStallCycles() const { return unit.activity().stallCycles; }
 
     SignatureBuffer &signatureBuffer() { return buffer; }
-    const SignatureUnit &signatureUnit() const { return unit; }
 
   private:
     const GpuConfig &config;

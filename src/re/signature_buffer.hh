@@ -20,16 +20,11 @@
  *                       geometry keep the defined signature 0 and must
  *                       still compare equal), false when the frame is
  *                       untrustworthy (RE disabled for the frame).
- *                       Calling setAllValid(false) subsumes
- *                       invalidateCurrent(): there is no need for both.
  *  3. write()/read()  - accumulate per-tile running signatures;
  *  4. compare()/readComparison() - consult the comparison slot. Both
  *                       fail (return false) when either side is
  *                       invalid, so frames after a disabled or
  *                       invalidated frame can never match against it.
- *
- * invalidateAll()/invalidateCurrent() remain for mid-frame events
- * (e.g. a technique deciding its accumulated state is unusable).
  */
 
 #ifndef REGPU_RE_SIGNATURE_BUFFER_HH
@@ -166,23 +161,6 @@ class SignatureBuffer
             return false;
         sig = old.sig[tile];
         return true;
-    }
-
-    /** Invalidate every slot (RE disabled for a frame: downstream
-     *  comparisons against this frame must fail). */
-    void
-    invalidateAll()
-    {
-        for (auto &slot : slots)
-            std::fill(slot.valid.begin(), slot.valid.end(), u8{0});
-    }
-
-    /** Invalidate only the current frame's entries. */
-    void
-    invalidateCurrent()
-    {
-        std::fill(slots[current].valid.begin(),
-                  slots[current].valid.end(), u8{0});
     }
 
     u32 numTiles() const { return numTiles_; }

@@ -1,18 +1,17 @@
 #include "sim/parallel_runner.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdlib>
-#include <exception>
 #include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <thread>
 
 #include "common/logging.hh"
-#include "common/thread_annotations.hh"
 #include "crc/hashes.hh"
+#include "gpu/tile_pool.hh"
 #include "obs/obs.hh"
 #include "trace/trace_scene.hh"
 #include "trace/trace_writer.hh"
@@ -25,26 +24,20 @@ namespace regpu
 namespace
 {
 
-/** Progress fold shared by the worker pool: the tracker is guarded,
- *  and one critical section around fold + callback keeps delivered
- *  done counts monotone (order-stable) across workers. */
-struct ProgressState
+Technique
+parseTechniqueArg(const std::string &name)
 {
-    ProgressState(std::size_t total, unsigned workers)
-        : tracker(total, workers)
-    {}
-
-    Mutex mutex;
-    ProgressTracker tracker REGPU_GUARDED_BY(mutex);
-};
-
-/** First-exception capture of the worker pool (rethrown on the caller
- *  thread after the pool drains). */
-struct ErrorState
-{
-    Mutex mutex;
-    std::exception_ptr first REGPU_GUARDED_BY(mutex);
-};
+    if (name == "base" || name == "baseline")
+        return Technique::Baseline;
+    if (name == "re")
+        return Technique::RenderingElimination;
+    if (name == "te")
+        return Technique::TransactionElimination;
+    if (name == "memo")
+        return Technique::FragmentMemoization;
+    fatal("unknown technique: ", name,
+          " (valid: base, re, te, memo)");
+}
 
 } // namespace
 
@@ -108,19 +101,18 @@ parseDimensionArg(const char *flag, const char *text)
     return static_cast<u32>(v);
 }
 
-Technique
-parseTechniqueArg(const std::string &name)
+std::vector<Technique>
+parseTechniqueListArg(const std::string &list)
 {
-    if (name == "base" || name == "baseline")
-        return Technique::Baseline;
-    if (name == "re")
-        return Technique::RenderingElimination;
-    if (name == "te")
-        return Technique::TransactionElimination;
-    if (name == "memo")
-        return Technique::FragmentMemoization;
-    fatal("unknown technique: ", name,
-          " (valid: base, re, te, memo)");
+    std::vector<Technique> techniques;
+    std::stringstream ss(list);
+    std::string item;
+    while (std::getline(ss, item, ','))
+        techniques.push_back(parseTechniqueArg(item));
+    if (techniques.empty())
+        fatal("--tech expects at least one technique "
+              "(valid: base, re, te, memo)");
+    return techniques;
 }
 
 HashKind
@@ -191,12 +183,8 @@ ProgressTracker::cellDone(std::size_t jobIndex, double seconds)
 
 std::vector<SimResult>
 ParallelRunner::run(const std::vector<SimJob> &jobs,
-                    const ProgressFn &progress) const
+                    const CellDoneFn &onDone) const
 {
-    std::vector<SimResult> results(jobs.size());
-    if (jobs.empty())
-        return results;
-
     // Reject bad jobs on the calling thread: fatal() calls
     // std::exit(), which must never run on a worker while siblings
     // are mid-simulation. Live jobs must name a suite alias. Replay
@@ -220,12 +208,11 @@ ParallelRunner::run(const std::vector<SimJob> &jobs,
                   " frames");
     }
 
-    const unsigned pool =
-        static_cast<unsigned>(std::min<std::size_t>(workers, jobs.size()));
+    std::vector<SimResult> results(jobs.size());
+    std::vector<double> cellSeconds(jobs.size());
+    ProgressTracker tracker(jobs.size(), workers);
 
-    ProgressState progressState(jobs.size(), pool);
-
-    auto runOne = [&](std::size_t i) {
+    auto runCell = [&](std::size_t i) {
         const SimJob &job = jobs[i];
         const u64 startNs = obsNowNs();
         {
@@ -249,51 +236,14 @@ ParallelRunner::run(const std::vector<SimJob> &jobs,
                 results[i] = sim.run();
             }
         }
-        if (progress) {
-            const double secs =
-                static_cast<double>(obsNowNs() - startNs) * 1e-9;
-            MutexLock lock(progressState.mutex);
-            progress(progressState.tracker.cellDone(i, secs));
-        }
+        cellSeconds[i] = static_cast<double>(obsNowNs() - startNs) * 1e-9;
+    };
+    auto reportCell = [&](std::size_t i) {
+        if (onDone)
+            onDone(tracker.cellDone(i, cellSeconds[i]), results[i]);
     };
 
-    if (pool <= 1) {
-        for (std::size_t i = 0; i < jobs.size(); i++)
-            runOne(i);
-        return results;
-    }
-
-    std::atomic<std::size_t> nextJob{0};
-    ErrorState errorState;
-
-    auto workerLoop = [&]() {
-        while (true) {
-            const std::size_t i =
-                nextJob.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
-                return;
-            try {
-                runOne(i);
-            } catch (...) {
-                MutexLock lock(errorState.mutex);
-                if (!errorState.first)
-                    errorState.first = std::current_exception();
-            }
-        }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (unsigned t = 0; t < pool; t++)
-        threads.emplace_back(workerLoop);
-    for (auto &t : threads)
-        t.join();
-
-    {
-        MutexLock lock(errorState.mutex);
-        if (errorState.first)
-            std::rethrow_exception(errorState.first);
-    }
+    runOrdered(jobs.size(), workers, runCell, reportCell);
     return results;
 }
 
@@ -472,10 +422,6 @@ mergeResults(const std::vector<SimResult> &results)
         r.stats.forEachCounter([&merged](std::string_view name, u64 val) {
             merged.stats.inc(name, val);
         });
-        r.stats.forEachScalar(
-            [&merged](std::string_view name, double val) {
-                merged.stats.add(name, val);
-            });
     }
     if (merged.frames > 0)
         merged.equalTilesConsecutivePct =

@@ -5,10 +5,10 @@
  * A simulation sweep is embarrassingly parallel: every
  * (workload x technique x config) cell is an independent Simulator
  * run with its own Scene, MemSystem and StatRegistry. The runner
- * schedules those cells on a fixed worker pool and writes each result
- * into the slot matching its job index, so the output — and any
- * aggregation folded over it — is bit-identical for every worker
- * count, including 1.
+ * schedules those cells on the ordered pool the raster phase also
+ * uses (gpu/tile_pool.hh) and writes each result into the slot
+ * matching its job index, so the output — and any aggregation folded
+ * over it — is bit-identical for every worker count, including 1.
  *
  * Determinism contract:
  *  - scene content is generated from SimJob::sceneSeed only (use
@@ -76,9 +76,10 @@ unsigned parseTileJobsArg(const char *text);
  *  GpuConfig's u32 fields. */
 u32 parseDimensionArg(const char *flag, const char *text);
 
-/** Parse a technique name ("base"/"baseline", "re", "te", "memo");
- *  fatal() on anything else. Shared by the CLI frontends. */
-Technique parseTechniqueArg(const std::string &name);
+/** Parse a --tech list: comma-separated technique names
+ *  ("base"/"baseline", "re", "te", "memo"). fatal() on an unknown
+ *  name or an empty list. Shared by the CLI frontends. */
+std::vector<Technique> parseTechniqueListArg(const std::string &list);
 
 /** Parse a hash-kind name ("crc32", "xor", "add", "fnv"); fatal() on
  *  anything else. Shared by the CLI frontends. */
@@ -153,16 +154,17 @@ struct ProgressUpdate
     double etaSeconds = 0;     //!< remaining / effective parallelism
 };
 
-/** Invoked after each finished cell. ParallelRunner serializes the
- *  calls and delivers monotonically increasing `done` counts
- *  (order-stable), from worker threads — keep the body short. */
-using ProgressFn = std::function<void(const ProgressUpdate &)>;
+/** Invoked once per finished cell with its progress sample and its
+ *  result, on the thread that called ParallelRunner::run, in job
+ *  order. Later cells may still be running on workers, so the
+ *  callback must not call fatal(). */
+using CellDoneFn =
+    std::function<void(const ProgressUpdate &, const SimResult &)>;
 
 /**
  * Folds per-cell wall times into EWMA + ETA progress samples. Not
- * thread-safe by itself: callers serialise cellDone() (ParallelRunner
- * guards it with a mutex; single-threaded streaming loops need
- * nothing).
+ * thread-safe: ParallelRunner calls cellDone() from its in-order
+ * merge, which runs on one thread.
  */
 class ProgressTracker
 {
@@ -202,14 +204,14 @@ class ParallelRunner
      * captured and rethrown on the caller thread after the pool
      * drains.
      *
-     * @p progress, when set, is invoked once per finished cell
-     * (serialized, monotone done counts); it observes execution order
-     * only — results stay bit-identical for any worker count.
+     * @p onDone, when set, sees cell i on the calling thread once
+     * cells 0..i have all finished, so its calls arrive in job order
+     * with done counts 1..N while later cells are still running. It
+     * observes execution only — results stay bit-identical for any
+     * worker count.
      */
     std::vector<SimResult> run(const std::vector<SimJob> &jobs,
-                               const ProgressFn &progress) const;
-    std::vector<SimResult> run(const std::vector<SimJob> &jobs) const
-    { return run(jobs, ProgressFn{}); }
+                               const CellDoneFn &onDone = {}) const;
 
   private:
     unsigned workers;

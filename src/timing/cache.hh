@@ -116,20 +116,6 @@ class CacheModel
     u64 writebackBytes(TrafficClass c) const
     { return writebackBytes_[static_cast<u8>(c)]; }
 
-    u64
-    totalFillBytes() const
-    {
-        return fillBytes_[0] + fillBytes_[1] + fillBytes_[2]
-            + fillBytes_[3];
-    }
-
-    u64
-    totalWritebackBytes() const
-    {
-        return writebackBytes_[0] + writebackBytes_[1]
-            + writebackBytes_[2] + writebackBytes_[3];
-    }
-
     void
     resetStats()
     {

@@ -51,9 +51,6 @@ class TraceWriter
     /** Write the INDX chunk and footer, then close the file. */
     void finish();
 
-    /** Bytes written so far (after finish(): the final file size). */
-    u64 bytesWritten() const { return offset_; }
-
   private:
     u64 writeChunk(u32 type, const std::vector<u8> &payload);
 

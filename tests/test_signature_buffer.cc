@@ -111,26 +111,13 @@ TEST(SignatureBuffer, SetAllValidEnablesEmptyTileComparison)
     EXPECT_TRUE(matched);
 }
 
-TEST(SignatureBuffer, InvalidateAllBlocksComparisons)
-{
-    SignatureBuffer sb(8, 2);
-    sb.rotate();
-    sb.setAllValid(true);
-    sb.rotate();
-    sb.setAllValid(true);
-    sb.invalidateAll();
-    bool matched = true;
-    EXPECT_FALSE(sb.compare(0, matched));
-}
-
-TEST(SignatureBuffer, InvalidateCurrentOnlyAffectsCurrentFrame)
+TEST(SignatureBuffer, DisabledFrameBlocksItsOwnAndNextComparison)
 {
     SignatureBuffer sb(8, 2);
     sb.rotate();
     sb.setAllValid(true);    // frame 0 valid
     sb.rotate();
-    sb.setAllValid(true);
-    sb.invalidateCurrent();  // frame 1 invalid
+    sb.setAllValid(false);   // frame 1: RE disabled
     bool matched = true;
     EXPECT_FALSE(sb.compare(0, matched));
     // Next frame compares against frame 1 (invalid) -> blocked too.

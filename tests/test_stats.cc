@@ -18,7 +18,6 @@ TEST(StatRegistry, CountersStartAtZero)
 {
     StatRegistry s;
     EXPECT_EQ(s.counter("anything"), 0u);
-    EXPECT_DOUBLE_EQ(s.scalar("anything"), 0.0);
 }
 
 TEST(StatRegistry, IncAccumulates)
@@ -27,14 +26,6 @@ TEST(StatRegistry, IncAccumulates)
     s.inc("a");
     s.inc("a", 4);
     EXPECT_EQ(s.counter("a"), 5u);
-}
-
-TEST(StatRegistry, ScalarsAccumulate)
-{
-    StatRegistry s;
-    s.add("x", 1.5);
-    s.add("x", 2.5);
-    EXPECT_DOUBLE_EQ(s.scalar("x"), 4.0);
 }
 
 TEST(StatRegistry, NamesAreIndependent)
@@ -50,10 +41,10 @@ TEST(StatRegistry, ResetClearsEverything)
 {
     StatRegistry s;
     s.inc("a", 10);
-    s.add("b", 3.0);
+    s.inc("b", 3);
     s.reset();
     EXPECT_EQ(s.counter("a"), 0u);
-    EXPECT_DOUBLE_EQ(s.scalar("b"), 0.0);
+    EXPECT_EQ(s.counter("b"), 0u);
 }
 
 TEST(StatRegistry, DumpSortedByName)
@@ -91,8 +82,6 @@ TEST(StatRegistry, ForEachVisitsInNameOrder)
     s.inc("zeta", 3);
     s.inc("alpha", 1);
     s.inc("mid", 2);
-    s.add("z.scalar", 2.5);
-    s.add("a.scalar", 1.5);
 
     std::vector<std::string> names;
     u64 sum = 0;
@@ -103,16 +92,6 @@ TEST(StatRegistry, ForEachVisitsInNameOrder)
     EXPECT_EQ(names,
               (std::vector<std::string>{"alpha", "mid", "zeta"}));
     EXPECT_EQ(sum, 6u);
-
-    names.clear();
-    double total = 0;
-    s.forEachScalar([&](std::string_view name, double value) {
-        names.emplace_back(name);
-        total += value;
-    });
-    EXPECT_EQ(names,
-              (std::vector<std::string>{"a.scalar", "z.scalar"}));
-    EXPECT_DOUBLE_EQ(total, 4.0);
 }
 
 TEST(StatRegistry, ForEachPrefixedSelectsSubsystem)
@@ -122,7 +101,6 @@ TEST(StatRegistry, ForEachPrefixedSelectsSubsystem)
     s.inc("re.signatureHits", 3);
     s.inc("ren.other", 1);   // shares a prefix of the prefix
     s.inc("te.flushes", 5);
-    s.add("re.ratio", 0.5);
 
     std::vector<std::string> names;
     s.forEachCounterPrefixed(
@@ -132,14 +110,6 @@ TEST(StatRegistry, ForEachPrefixedSelectsSubsystem)
         });
     EXPECT_EQ(names, (std::vector<std::string>{"re.signatureHits",
                                                "re.tilesSkipped"}));
-
-    names.clear();
-    s.forEachScalarPrefixed(
-        "re.", [&](std::string_view name, double value) {
-            names.emplace_back(name);
-            (void)value;
-        });
-    EXPECT_EQ(names, (std::vector<std::string>{"re.ratio"}));
 
     // A prefix past every name visits nothing (lower_bound seek).
     names.clear();
