@@ -84,7 +84,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--tech") {
             opts.techniques = parseTechniqueListArg(next(i));
         } else if (arg == "--frames") {
-            opts.frames = parseCountArg("--frames", next(i));
+            opts.frames = parseFramesArg(next(i));
         } else if (arg == "--width") {
             opts.width = parseDimensionArg("--width", next(i));
         } else if (arg == "--height") {
@@ -99,8 +99,6 @@ parseArgs(int argc, char **argv)
             fatal("micro_pipeline: unknown flag '", arg, "'");
         }
     }
-    if (opts.frames == 0)
-        fatal("--frames must be >= 1");
     return opts;
 }
 

@@ -133,7 +133,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--tech") {
             opts.techniques = parseTechniqueListArg(next(i));
         } else if (arg == "--frames") {
-            opts.frames = parseCountArg("--frames", next(i));
+            opts.frames = parseFramesArg(next(i));
         } else if (arg == "--width") {
             opts.width = parseDimensionArg("--width", next(i));
         } else if (arg == "--height") {
@@ -169,8 +169,6 @@ parseArgs(int argc, char **argv)
             usage();
         }
     }
-    if (opts.frames == 0)
-        fatal("--frames must be >= 1");
     return opts;
 }
 

@@ -28,16 +28,17 @@ Rules (ids are stable; see --list-rules):
   include-cc    #include of a .cc file compiles a TU into another TU:
                 double-definition landmine, breaks the one-TU-per-
                 source CMake model.
-  stat-name     Stat names referenced by tests (counter("x.y")),
-                README backticks and the benchmark harness (HARNESS:
-                its dotted string literals) must exist in src/ —
+  stat-name     Stat names read through counter("x.y") in tests/,
+                bench/ and examples/, README backticks and the
+                benchmark harness (HARNESS: its dotted string
+                literals) must exist in src/ —
                 either a stats registration (.inc) or an obs
                 cat.name composition (ObsScope/obsCounter/obsInstant). Catches phantom
                 stats left behind by renames. Only dotted names whose
                 prefix is an actual src/ stat/obs prefix are gated, so
                 unrelated dotted tokens (file names, bench record ids)
-                never false-positive; test files may also register
-                their own names locally.
+                never false-positive; a file may also register its
+                own names locally (tests do).
   csv-schema    The CSV/JSON run schema is written in three places:
                 csvColumns() and writeJsonRun() in src/sim/report.cc,
                 and the column-reference table in README.md (between
@@ -65,7 +66,7 @@ over Tree (path -> FileText for C++/markdown/python sources), and
 fixture trees in FIXTURES proving it fires and stays quiet —
 --self-test runs every rule against its fixtures, including the
 acceptance injections (a layering cycle, a crc -> sim edge, a phantom
-stat name).
+stat name read by a test, a bench or an example).
 """
 
 import argparse
@@ -115,6 +116,11 @@ JSON_IDENTITY_EXTRAS = ("seed", "screenWidth", "screenHeight",
 # renamed stat would turn one of its correctness checks into a silent
 # pass. Only stat-name reads it (it is outside SCAN_DIRS).
 HARNESS = "perfbench/regpu_bench.cc"
+
+# Directories whose counter("x.y") reads stat-name checks. The same
+# silent 0 hides there: the Section V table in bench/paper_figures.cc
+# and suite_cli's --assert-conservation gate both read stats by name.
+STAT_READER_DIRS = ("tests/", "bench/", "examples/")
 
 CSV_TABLE_BEGIN = "analyze:csv-schema:begin"
 CSV_TABLE_END = "analyze:csv-schema:end"
@@ -349,9 +355,11 @@ def find_stat_name(tree: Tree) -> List[Violation]:
 
     out = []
 
-    # Tests: counter("x.y") reads, minus names the test registers
-    # itself (stats registries are test-local there).
-    for ft in cxx_files(tree, "tests/"):
+    # counter("x.y") reads in tests, benches and examples, minus
+    # names the file registers itself (tests keep local registries).
+    readers = [ft for prefix in STAT_READER_DIRS
+               for ft in cxx_files(tree, prefix)]
+    for ft in readers:
         local = stat_definitions({ft.path: ft}, "")
         for m in re.finditer(r'\bcounter\s*\(\s*(")', ft.code):
             name = quoted_arg_at(ft.raw, m.start(1))
@@ -360,7 +368,7 @@ def find_stat_name(tree: Tree) -> List[Violation]:
                 out.append(Violation(
                     ft.path, line_of(ft.code, m.start()), "stat-name",
                     f'stat "{name}" is read here but registered '
-                    "nowhere in src/ (and not in this test); phantom "
+                    "nowhere in src/ (nor in this file); phantom "
                     "stat reads return 0 and silently pass"))
 
     # README: backticked dotted tokens with a known stat/obs prefix.
@@ -570,7 +578,8 @@ RULES: List[TreeRule] = [
              "no #include of .cc files",
              find_include_cc),
     TreeRule("stat-name",
-             "stat names in tests/README/benchmark exist in src/",
+             "stat names read in tests/bench/examples/README/benchmark "
+             "exist in src/",
              find_stat_name),
     TreeRule("csv-schema",
              "CSV columns == JSON keys (mod identity) == README table",
@@ -709,6 +718,8 @@ FIXTURES = {
           '    EXPECT_EQ(counter("raster.tiles"), 1u);\n'
           '    EXPECT_EQ(counter("raster.local"), 1u);\n'
           '    EXPECT_EQ(counter("unrelated.dotted.name"), 0u);\n}\n'),
+         "bench/paper_figures.cc":
+         'double f() { return r.stats.counter("raster.tiles"); }\n',
          HARNESS:
          ('#include "layer_trace.hh"\n'
           'u64 f() { return counter("raster.tiles")\n'
@@ -816,6 +827,13 @@ def self_test() -> int:
     check(any(v.rule == "stat-name" and v.path == HARNESS
               for v in analyze_tree(fixture_tree(phantom))),
           "phantom stat in the benchmark harness not caught")
+
+    # A phantom read in a bench or an example fires there too.
+    for reader in ("bench/paper_figures.cc", "examples/suite_cli.cpp"):
+        phantom = {reader: 'u64 v = r.stats.counter("raster.phantom");\n'}
+        check(any(v.rule == "stat-name" and v.path == reader
+                  for v in analyze_tree(fixture_tree(phantom))),
+              f"phantom stat read in {reader} not caught")
 
     # Markdown same-line suppression (HTML comment).
     md_allowed = {"README.md": BASE_README +

@@ -1,12 +1,10 @@
 #include "sim/experiment.hh"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.hh"
 #include "sim/parallel_runner.hh"
+#include "workloads/workloads.hh"
 
 namespace regpu
 {
@@ -39,7 +37,7 @@ ExperimentScale::fromArgs(int argc, char **argv)
             s.screenHeight = 768;
             s.frames = 50;
         } else if (std::strcmp(argv[i], "--frames") == 0) {
-            s.frames = parseCountArg("--frames", value(i));
+            s.frames = parseFramesArg(value(i));
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
             s.jobs = parseJobsArg(value(i));
         } else if (std::strcmp(argv[i], "--tile-jobs") == 0) {
@@ -62,78 +60,6 @@ allAliases()
     for (const auto &b : benchmarkSuite())
         v.push_back(b.alias);
     return v;
-}
-
-std::vector<WorkloadResults>
-runSuite(const std::vector<std::string> &aliases,
-         const std::vector<Technique> &techniques,
-         const ExperimentScale &scale, HashKind hashKind)
-{
-    std::vector<SimJob> jobs =
-        buildSweepJobs(aliases, techniques, scale.screenWidth,
-                       scale.screenHeight, scale.frames, hashKind);
-    applyTraceFlags(jobs, scale.recordDir, scale.replayDir);
-    for (SimJob &job : jobs)
-        job.options.tileJobs = scale.tileJobs;
-
-    ParallelRunner runner(scale.jobs);
-    std::vector<SimResult> results = runner.run(jobs);
-
-    std::vector<WorkloadResults> out;
-    std::size_t idx = 0;
-    for (const std::string &alias : aliases) {
-        WorkloadResults wr;
-        wr.alias = alias;
-        for (Technique tech : techniques)
-            wr.byTechnique.emplace(tech, std::move(results[idx++]));
-        out.push_back(std::move(wr));
-    }
-    return out;
-}
-
-double
-geomean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double logSum = 0;
-    for (double v : values) {
-        REGPU_ASSERT(v > 0, "geomean needs positive values");
-        logSum += std::log(v);
-    }
-    return std::exp(logSum / values.size());
-}
-
-double
-mean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double sum = 0;
-    for (double v : values)
-        sum += v;
-    return sum / values.size();
-}
-
-void
-printTableHeader(const std::string &title,
-                 const std::vector<std::string> &columns)
-{
-    std::printf("\n== %s ==\n", title.c_str());
-    std::printf("%-10s", "workload");
-    for (const auto &c : columns)
-        std::printf(" %12s", c.c_str());
-    std::printf("\n");
-}
-
-void
-printTableRow(const std::string &label, const std::vector<double> &values,
-              int precision)
-{
-    std::printf("%-10s", label.c_str());
-    for (double v : values)
-        std::printf(" %12.*f", precision, v);
-    std::printf("\n");
 }
 
 } // namespace regpu

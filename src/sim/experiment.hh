@@ -1,20 +1,17 @@
 /**
  * @file
- * Experiment helpers: run the benchmark suite across techniques and
- * print paper-style tables (one bench binary per table/figure builds
- * on these).
+ * The experiment scale that paper_figures, ablation_hash_quality and
+ * micro_trace parse from one flag set (screen, frame count, workers,
+ * trace capture/replay), and the suite's alias list.
  */
 
 #ifndef REGPU_SIM_EXPERIMENT_HH
 #define REGPU_SIM_EXPERIMENT_HH
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "sim/simulator.hh"
-#include "workloads/workloads.hh"
+#include "common/types.hh"
 
 namespace regpu
 {
@@ -29,10 +26,10 @@ struct ExperimentScale
     unsigned tileJobs = 1;  //!< intra-frame tile workers per run
                             //!< (results identical for any value)
 
-    /** When set, runSuite records one trace per workload here before
-     *  simulating (file name `<alias>.rgputrace`). */
+    /** When set, the sweep records one trace per workload here
+     *  before simulating (file name `<alias>.rgputrace`). */
     std::string recordDir;
-    /** When set, runSuite replays `<alias>.rgputrace` from here
+    /** When set, the sweep replays `<alias>.rgputrace` from here
      *  instead of generating scenes. */
     std::string replayDir;
 
@@ -45,45 +42,15 @@ struct ExperimentScale
      * Table I resolution with a 30-frame single-threaded run.
      *
      * Parsing is strict: an unknown flag, a flag missing its value,
-     * or a malformed number fatal()s with a usage message — a typo
-     * like "--frmes 50" must not silently run the defaults.
+     * a malformed number or "--frames 0" fatal()s with a usage
+     * message — a typo like "--frmes 50" must not silently run the
+     * defaults.
      */
     static ExperimentScale fromArgs(int argc, char **argv);
 };
 
-/** Results of one workload under every requested technique. */
-struct WorkloadResults
-{
-    std::string alias;
-    std::map<Technique, SimResult> byTechnique;
-};
-
-/**
- * Run @p aliases under each technique in @p techniques with the given
- * scale. Scenes and seeds are identical across techniques. When
- * scale.jobs > 1, the (alias x technique) cells run concurrently on a
- * worker pool; results are bit-identical to the sequential order.
- */
-std::vector<WorkloadResults>
-runSuite(const std::vector<std::string> &aliases,
-         const std::vector<Technique> &techniques,
-         const ExperimentScale &scale,
-         HashKind hashKind = HashKind::Crc32);
-
 /** All ten paper aliases in presentation order. */
 std::vector<std::string> allAliases();
-
-/** Geometric mean helper used in the "AVG" columns. */
-double geomean(const std::vector<double> &values);
-
-/** Arithmetic mean helper. */
-double mean(const std::vector<double> &values);
-
-/** Fixed-width table-cell printing helpers shared by benches. */
-void printTableHeader(const std::string &title,
-                      const std::vector<std::string> &columns);
-void printTableRow(const std::string &label,
-                   const std::vector<double> &values, int precision = 3);
 
 } // namespace regpu
 

@@ -91,6 +91,15 @@ parseTileJobsArg(const char *text)
     return static_cast<unsigned>(v);
 }
 
+u64
+parseFramesArg(const char *text)
+{
+    const u64 v = parseCountArg("--frames", text);
+    if (v == 0)
+        fatal("--frames must be >= 1");
+    return v;
+}
+
 u32
 parseDimensionArg(const char *flag, const char *text)
 {

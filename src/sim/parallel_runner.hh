@@ -71,6 +71,11 @@ unsigned parseJobsArg(const char *text);
  *  "disable the pool" to some users and "auto" to others. */
 unsigned parseTileJobsArg(const char *text);
 
+/** parseCountArg specialised for --frames: a run of at least one
+ *  frame. 0 is rejected — a run of no frames has no rates to report
+ *  and every per-frame average divides by zero. */
+u64 parseFramesArg(const char *text);
+
 /** parseCountArg specialised for --width/--height: a screen
  *  dimension in 1..UINT32_MAX, so a wider value can never wrap into
  *  GpuConfig's u32 fields. */
@@ -122,8 +127,8 @@ void retargetJobsToTraces(std::vector<SimJob> &jobs,
  * recordSweepTraces into @p recordDir when set, then
  * retargetJobsToTraces from @p replayDir when set (record-then-replay
  * of the same directory round-trips). Empty strings are no-ops. The
- * single entry point every sweep frontend (runSuite, suite_cli, the
- * custom-loop benches) shares.
+ * single entry point every sweep frontend (suite_cli, paper_figures,
+ * the ablation benches) shares.
  */
 void applyTraceFlags(std::vector<SimJob> &jobs,
                      const std::string &recordDir,

@@ -2,9 +2,10 @@
  * @file
  * TraceScene: a FrameSource that replays a recorded trace.
  *
- * Drop-in replacement for a live Scene anywhere the Simulator (or
- * runSuite) consumes one: textures come from the trace's TEXT chunks,
- * emitFrame() seeks the requested FRAM chunk through the index table.
+ * Drop-in replacement for a live Scene anywhere the Simulator (or a
+ * --replay-dir sweep) consumes one: textures come from the trace's
+ * TEXT chunks, emitFrame() seeks the requested FRAM chunk through the
+ * index table.
  * Replaying the full trace yields a SimResult bit-identical to the
  * live-scene run it was captured from.
  *

@@ -1,5 +1,5 @@
 # Regenerates the simulated-results ledger with suite_cli and compares
-# it byte for byte against the committed file, printing every row that
+# it byte for byte against the committed file, printing every line that
 # differs. Run in CMake script mode:
 #
 #   cmake -DSUITE_CLI=build/suite_cli
@@ -28,36 +28,5 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "suite_cli exited with ${rc}")
 endif()
 
-execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E compare_files "${GOLDEN}" "${OUT}"
-  RESULT_VARIABLE differ)
-if(differ EQUAL 0)
-  return()
-endif()
-
-file(STRINGS "${GOLDEN}" want)
-file(STRINGS "${OUT}" got)
-list(LENGTH want nwant)
-list(LENGTH got ngot)
-set(report "")
-set(i 0)
-while(i LESS nwant OR i LESS ngot)
-  set(a "<missing>")
-  set(b "<missing>")
-  if(i LESS nwant)
-    list(GET want ${i} a)
-  endif()
-  if(i LESS ngot)
-    list(GET got ${i} b)
-  endif()
-  if(NOT a STREQUAL b)
-    string(APPEND report "row ${i}\n  golden: ${a}\n  actual: ${b}\n")
-  endif()
-  math(EXPR i "${i} + 1")
-endwhile()
-if(report STREQUAL "")
-  set(report "(rows match; line endings or the final newline differ)\n")
-endif()
-message(FATAL_ERROR
-        "simulated results differ from ${GOLDEN}\n${report}"
-        "A model change regenerates the golden file and quotes its diff.")
+include(${CMAKE_CURRENT_LIST_DIR}/compare_golden.cmake)
+regpu_compare_golden("${GOLDEN}" "${OUT}" "simulated results")

@@ -398,6 +398,10 @@ TEST(ExperimentScaleArgs, StrictParsingRejectsTypos)
                 "expects a value");
     EXPECT_EXIT(parse({"--frames", "5x"}), ::testing::ExitedWithCode(1),
                 "expects a number");
+    // A run of no frames would print NaN tables or trip geomean's
+    // assertion instead of failing up front.
+    EXPECT_EXIT(parse({"--fast", "--frames", "0"}),
+                ::testing::ExitedWithCode(1), "--frames must be >= 1");
     EXPECT_EXIT(parse({"--record-dir"}), ::testing::ExitedWithCode(1),
                 "expects a value");
 }
