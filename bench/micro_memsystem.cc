@@ -4,11 +4,11 @@
  *
  * Drives the MemSystem's MemTraceSink entry points directly with
  * synthetic streams - a sequential vertex stream, a tiled texel
- * pattern with spatial locality, Parameter Buffer write/read phases
- * and Color Buffer flush/read-back traffic - and reports the
- * hierarchy-walk cost per access for each stream plus a mixed
- * workload. Future PRs touching src/timing/ can eyeball whether a
- * change made the walk slower.
+ * random walk, the rasterizer's bilinear texel stream, Parameter
+ * Buffer write/read phases and Color Buffer flush/read-back
+ * traffic - and reports the hierarchy-walk cost per access for each
+ * stream plus a mixed workload. Changes to src/timing/ can eyeball
+ * whether they made the walk slower.
  *
  * Usage: micro_memsystem [--accesses N] [--mix-frames N]
  */
@@ -19,6 +19,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "gpu/texture.hh"
 #include "sim/parallel_runner.hh"
 #include "timing/memsystem.hh"
 
@@ -105,6 +106,26 @@ main(int argc, char **argv)
                 + (i / 4096) * 256 * 256 * 4;
             const Addr off = rng.nextBounded(256 * 256) * 4;
             m.texelFetch(static_cast<u32>(i & 3), base + off);
+        }
+    }));
+
+    report("texel bilinear", run(accesses, [](MemSystem &m, u64 n) {
+        // TileRenderer's stream: scanlines of a 512x512 screen
+        // sampling a 256x256 texture at 2x magnification, one 2x2
+        // footprint per pixel in one texelFetches call, on the
+        // texture cache of the pixel's quad. About half the fetches
+        // repeat the line just fetched from that cache.
+        const Texture tex(0, 256, 256, TexturePattern::Solid, 1);
+        u64 issued = 0;
+        for (u32 y = 0; issued < n; y = (y + 1) & 511) {
+            for (u32 x = 0; x < 512 && issued < n; x++, issued += 4) {
+                const i32 u = static_cast<i32>(x >> 1);
+                const i32 v = static_cast<i32>(y >> 1);
+                const Addr quad[4] = {
+                    tex.texelAddr(u, v), tex.texelAddr(u + 1, v),
+                    tex.texelAddr(u, v + 1), tex.texelAddr(u + 1, v + 1)};
+                m.texelFetches(((x >> 1) + (y >> 1)) & 3, quad);
+            }
         }
     }));
 

@@ -35,7 +35,8 @@
 #    mutex-guarded structure) with -DREGPU_THREAD_SAFETY=ON, proving
 #    the lock discipline at compile time. Same loud-skip policy when
 #    clang++ is absent.
-#  - ASan+UBSan (-DREGPU_SANITIZE=address) re-runs the unit suites;
+#  - ASan+UBSan (-DREGPU_SANITIZE=address) re-runs the unit suites
+#    and the two results-ledger tests (real scenes through suite_cli);
 #    TSan (-DREGPU_SANITIZE=thread) runs the ParallelRunner
 #    determinism + contention-stress suites plus the observability
 #    suite (per-thread ring attach/park under an 8-worker pool).
@@ -57,7 +58,8 @@
 #   scripts/check.sh --tidy      # clang-tidy zero-warning gate only
 #   scripts/check.sh --tsa       # clang thread-safety analysis only
 #   scripts/check.sh --tsan      # TSan build + parallel suites only
-#   scripts/check.sh --sanitize  # ASan+UBSan build + unit tests only
+#   scripts/check.sh --sanitize  # ASan+UBSan build + unit and
+#                                # results-ledger tests only
 #   scripts/check.sh --obs       # observability smoke: sweep with
 #                                # --obs-dir, validate the timeline
 #                                # JSON / per-frame JSONL / heatmap
@@ -233,15 +235,21 @@ run_tsan_pass() {
 run_sanitize_pass() {
     gate_begin asan
     echo "== sanitize configure (ASan + UBSan) =="
+    # Examples stay on: the results-ledger tests drive suite_cli, so
+    # real scenes run the tile pool's recorder replay and the cache
+    # model under the sanitizers, not only the unit suites.
     cmake -B "$SANITIZE_DIR" -S . -DREGPU_SANITIZE=address \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DREGPU_BUILD_BENCHES=OFF -DREGPU_BUILD_EXAMPLES=OFF
+        -DREGPU_BUILD_BENCHES=OFF -DREGPU_BUILD_EXAMPLES=ON
 
     echo "== sanitize build =="
     cmake --build "$SANITIZE_DIR" -j"$(nproc)"
 
-    echo "== sanitize ctest (unit) =="
+    echo "== sanitize ctest (unit + results ledger) =="
     (cd "$SANITIZE_DIR" && ctest --output-on-failure -j"$(nproc)" -L unit)
+    (cd "$SANITIZE_DIR" \
+         && ctest --output-on-failure -j2 --no-tests=error \
+                  -R '^results_ledger_tile_jobs_(1|4)$')
     gate_end asan
 }
 

@@ -39,6 +39,11 @@ validateCacheGeometry(const CacheParams &p)
 {
     if (p.lineBytes == 0)
         fatal("cache '", p.name, "': lineBytes must be >= 1 (got 0)");
+    // The cache model indexes lines with shifts: any other line size
+    // would alias lines silently.
+    if ((p.lineBytes & (p.lineBytes - 1)) != 0)
+        fatal("cache '", p.name, "': lineBytes must be a power of two "
+              "(got ", p.lineBytes, ")");
     if (p.ways == 0)
         fatal("cache '", p.name, "': ways must be >= 1 (got 0)");
     const u64 setBytes = static_cast<u64>(p.lineBytes) * p.ways;

@@ -49,11 +49,11 @@ void validateMemoLutGeometry(u32 entries, u32 ways,
                              const char *context);
 
 /**
- * Shared guard for cache geometry: fatal() when @p p has zero
- * lineBytes, zero ways, fewer bytes than one full set, or a
- * non-power-of-two set count (the set-index mask arithmetic would be
- * undefined or silently alias). Used by GpuConfig::validate and the
- * CacheModel constructor.
+ * Shared guard for cache geometry: fatal() when @p p has zero or
+ * non-power-of-two lineBytes, zero ways, fewer bytes than one full
+ * set, or a non-power-of-two set count (the line and set-index shift
+ * and mask arithmetic would be undefined or silently alias). Used by
+ * GpuConfig::validate and the CacheModel constructor.
  * @return the (validated, power-of-two) number of sets
  */
 u64 validateCacheGeometry(const CacheParams &p);

@@ -8,12 +8,23 @@
 #define REGPU_GPU_COLOR_HH
 
 #include <algorithm>
+#include <array>
 
 #include "common/types.hh"
 #include "common/vecmath.hh"
 
 namespace regpu
 {
+
+/** n / 255.0f for every 8-bit channel value n, folded at compile time:
+ *  the same correctly rounded floats the run-time division yields,
+ *  without a divss per channel in the sampler's hot loop. */
+inline constexpr std::array<float, 256> unorm8ToFloat = [] {
+    std::array<float, 256> table{};
+    for (u32 n = 0; n < 256; n++)
+        table[n] = static_cast<float>(n) / 255.0f;
+    return table;
+}();
 
 /** Packed 8-bit-per-channel RGBA color. */
 struct Color
@@ -54,7 +65,8 @@ struct Color
     Vec4
     toVec4() const
     {
-        return {r / 255.0f, g / 255.0f, b / 255.0f, a / 255.0f};
+        return {unorm8ToFloat[r], unorm8ToFloat[g], unorm8ToFloat[b],
+                unorm8ToFloat[a]};
     }
 };
 

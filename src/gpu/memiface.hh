@@ -44,6 +44,16 @@ class MemTraceSink
     /** Fragment-shader texel fetch (via a Texture Cache). */
     virtual void texelFetch(u32 textureCacheIndex, Addr addr) = 0;
 
+    /** One texture sample's texel fetches, in order, through one
+     *  Texture Cache: the rasterizer's per-sample call. Sinks that
+     *  only care about single fetches keep this default. */
+    virtual void
+    texelFetches(u32 textureCacheIndex, std::span<const Addr> addrs)
+    {
+        for (Addr addr : addrs)
+            texelFetch(textureCacheIndex, addr);
+    }
+
     /** Color Buffer flush of one tile to the Frame Buffer. */
     virtual void colorFlush(Addr addr, u32 bytes) = 0;
 

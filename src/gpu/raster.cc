@@ -92,8 +92,6 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
     if (memo)
         memo->tileBegin(tile);
 
-    std::vector<Addr> touchedTexels;
-
     for (const PrimRef &ref : frame.tileLists[tile]) {
         const Primitive &prim = frame.primitives[ref.primIndex];
         const DrawCall &draw = draws[prim.drawIndex];
@@ -202,22 +200,20 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
                   case ShaderKind::Textured:
                   case ShaderKind::TexModulate:
                   case ShaderKind::TexLit: {
-                    touchedTexels.clear();
+                    TexelFootprint touched;
                     Color texel = tex
                         ? Sampler::sample(*tex, uv.x, uv.y,
                                           Sampler::Filter::Bilinear,
-                                          &touchedTexels)
+                                          &touched)
                         : Color(255, 0, 255);
-                    if (chargeCost && mem) {
+                    if (tex && chargeCost && mem) {
                         // Round-robin texel streams over the 4 texture
                         // caches by fragment-quad position.
                         u32 cacheIdx = ((px >> 1) + (py >> 1))
                             % config.numTextureCaches;
-                        for (Addr ta : touchedTexels)
-                            mem->texelFetch(cacheIdx, ta);
+                        mem->texelFetches(cacheIdx, touched.addrs());
                     }
-                    ts.texelFetches +=
-                        static_cast<u32>(touchedTexels.size());
+                    ts.texelFetches += touched.count;
                     Vec4 t4 = texel.toVec4();
                     if (draw.state.shader == ShaderKind::Textured) {
                         fcolor = {t4.x * u.tint.x, t4.y * u.tint.y,

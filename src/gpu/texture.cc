@@ -119,7 +119,7 @@ Texture::Texture(u32 id, u32 w, u32 h, TexturePattern pattern, u64 seed)
 
 Color
 Sampler::sample(const Texture &tex, float s, float t, Filter filter,
-                std::vector<Addr> *touched)
+                TexelFootprint *touched)
 {
     float u = s * tex.width() - 0.5f;
     float v = t * tex.height() - 0.5f;
@@ -127,18 +127,17 @@ Sampler::sample(const Texture &tex, float s, float t, Filter filter,
         i32 iu = static_cast<i32>(std::floor(u + 0.5f));
         i32 iv = static_cast<i32>(std::floor(v + 0.5f));
         if (touched)
-            touched->push_back(tex.texelAddr(iu, iv));
+            *touched = {{tex.texelAddr(iu, iv)}, 1};
         return tex.texel(iu, iv);
     }
     i32 u0 = static_cast<i32>(std::floor(u));
     i32 v0 = static_cast<i32>(std::floor(v));
     float fu = u - u0, fv = v - v0;
-    if (touched) {
-        touched->push_back(tex.texelAddr(u0, v0));
-        touched->push_back(tex.texelAddr(u0 + 1, v0));
-        touched->push_back(tex.texelAddr(u0, v0 + 1));
-        touched->push_back(tex.texelAddr(u0 + 1, v0 + 1));
-    }
+    if (touched)
+        *touched = {{tex.texelAddr(u0, v0), tex.texelAddr(u0 + 1, v0),
+                     tex.texelAddr(u0, v0 + 1),
+                     tex.texelAddr(u0 + 1, v0 + 1)},
+                    4};
     Vec4 a = lerp(tex.texel(u0, v0).toVec4(),
                   tex.texel(u0 + 1, v0).toVec4(), fu);
     Vec4 b = lerp(tex.texel(u0, v0 + 1).toVec4(),

@@ -12,7 +12,9 @@
 #ifndef REGPU_GPU_TEXTURE_HH
 #define REGPU_GPU_TEXTURE_HH
 
+#include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -102,6 +104,16 @@ class Texture
     std::vector<Color> texels;
 };
 
+/** The texel addresses one sample read: one (nearest) or four
+ *  (bilinear), in fetch order. */
+struct TexelFootprint
+{
+    std::array<Addr, 4> addr{};
+    u32 count = 0;
+
+    std::span<const Addr> addrs() const { return {addr.data(), count}; }
+};
+
 /**
  * Nearest / bilinear sampler. Also reports the texel addresses it
  * touched so the caller can drive the texture-cache model.
@@ -113,11 +125,12 @@ class Sampler
 
     /**
      * Sample @p tex at normalized coordinates (s, t) with wrapping.
-     * @param touched if non-null, filled with the texel addresses read
+     * @param touched if non-null, overwritten with the texel addresses
+     *                read
      * @return filtered color
      */
     static Color sample(const Texture &tex, float s, float t,
-                        Filter filter, std::vector<Addr> *touched);
+                        Filter filter, TexelFootprint *touched);
 };
 
 } // namespace regpu

@@ -41,41 +41,55 @@ namespace regpu
  * MemTraceSink that records every access instead of forwarding it, so
  * a worker can render a tile without touching the shared (cache-state-
  * order-sensitive) MemSystem; the merge phase then replays the events
- * into the real sink in exact renderTile emission order. Reused across
- * tiles via clear() (capacity is retained).
+ * into the real sink in exact renderTile emission order. One recorder
+ * lives in each tile's task for one frame; clear() keeps the capacity
+ * for a caller that records batch after batch into the same one.
+ *
+ * A texture sample is one event whose addresses sit in a side array,
+ * so the replay makes one texelFetches call per sample, as the
+ * rasterizer did; a lone texelFetch is recorded as a sample of one.
  */
 class MemEventRecorder : public MemTraceSink
 {
   public:
     void vertexFetch(Addr addr, u32 bytes) override
     {
-        events.push_back({Kind::VertexFetch, addr, bytes});
+        events.push_back({addr, bytes, Kind::VertexFetch});
     }
     void parameterWrite(Addr addr, u32 bytes) override
     {
-        events.push_back({Kind::ParameterWrite, addr, bytes});
+        events.push_back({addr, bytes, Kind::ParameterWrite});
     }
     void parameterRead(Addr addr, u32 bytes) override
     {
-        events.push_back({Kind::ParameterRead, addr, bytes});
+        events.push_back({addr, bytes, Kind::ParameterRead});
     }
     void texelFetch(u32 textureCacheIndex, Addr addr) override
     {
-        events.push_back({Kind::TexelFetch, addr, textureCacheIndex});
+        texelFetches(textureCacheIndex, {&addr, 1});
+    }
+    void
+    texelFetches(u32 textureCacheIndex,
+                 std::span<const Addr> addrs) override
+    {
+        events.push_back({addrs.size(), textureCacheIndex,
+                          Kind::TexelFetches});
+        texels.insert(texels.end(), addrs.begin(), addrs.end());
     }
     void colorFlush(Addr addr, u32 bytes) override
     {
-        events.push_back({Kind::ColorFlush, addr, bytes});
+        events.push_back({addr, bytes, Kind::ColorFlush});
     }
     void colorRead(Addr addr, u32 bytes) override
     {
-        events.push_back({Kind::ColorRead, addr, bytes});
+        events.push_back({addr, bytes, Kind::ColorRead});
     }
 
     /** Forward every recorded access to @p sink, in recorded order. */
     void
     replay(MemTraceSink &sink) const
     {
+        const Addr *texel = texels.data();
         for (const Event &e : events) {
             switch (e.kind) {
               case Kind::VertexFetch:
@@ -87,8 +101,9 @@ class MemEventRecorder : public MemTraceSink
               case Kind::ParameterRead:
                 sink.parameterRead(e.addr, e.arg);
                 break;
-              case Kind::TexelFetch:
-                sink.texelFetch(e.arg, e.addr);
+              case Kind::TexelFetches:
+                sink.texelFetches(e.arg, {texel, e.addr});
+                texel += e.addr;
                 break;
               case Kind::ColorFlush:
                 sink.colorFlush(e.addr, e.arg);
@@ -100,7 +115,12 @@ class MemEventRecorder : public MemTraceSink
         }
     }
 
-    void clear() { events.clear(); }
+    void
+    clear()
+    {
+        events.clear();
+        texels.clear();
+    }
     std::size_t size() const { return events.size(); }
 
   private:
@@ -109,17 +129,20 @@ class MemEventRecorder : public MemTraceSink
         VertexFetch,
         ParameterWrite,
         ParameterRead,
-        TexelFetch,
+        TexelFetches,
         ColorFlush,
         ColorRead,
     };
     struct Event
     {
+        Addr addr; //!< the address, or TexelFetches' address count
+        u32 arg;   //!< bytes, or the texture-cache index
         Kind kind;
-        Addr addr;
-        u32 arg; //!< bytes, or the texture-cache index for TexelFetch
     };
+    static_assert(sizeof(Event) == 16);
+
     std::vector<Event> events;
+    std::vector<Addr> texels; //!< every sample's addresses, in order
 };
 
 /**

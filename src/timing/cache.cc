@@ -7,11 +7,10 @@ namespace regpu
 
 CacheModel::CacheModel(const CacheParams &params)
     : params_(params), numSets(validateCacheGeometry(params)),
-      sets(numSets)
-{
-    for (auto &set : sets)
-        set.ways.resize(params.ways);
-}
+      lineShift(static_cast<u32>(__builtin_ctz(params.lineBytes))),
+      setShift(static_cast<u32>(__builtin_ctzll(numSets))),
+      ways_(numSets * params.ways)
+{}
 
 void
 CacheModel::linkNextLevel(CacheModel *next)
@@ -54,31 +53,30 @@ CacheModel::propagateFill(Addr lineAddr, TrafficClass cls)
     return 0;
 }
 
-CacheAccessResult
-CacheModel::access(Addr addr, bool write, TrafficClass cls)
+std::span<CacheModel::Way>
+CacheModel::setOf(Addr line)
 {
-    demandBytes_[static_cast<u8>(cls)] += params_.lineBytes;
-    return accessLine(addr, write, cls);
+    return {ways_.data() + (line & (numSets - 1)) * params_.ways,
+            params_.ways};
 }
 
 CacheAccessResult
-CacheModel::accessLine(Addr addr, bool write, TrafficClass cls)
+CacheModel::accessSet(Addr line, bool write, TrafficClass cls)
 {
-    const Addr line = addr / params_.lineBytes;
     const u64 setIdx = line & (numSets - 1);
-    const Addr tag = line >> __builtin_ctzll(numSets);
-    Set &set = sets[setIdx];
-    accesses_++;
-    stamp++;
+    const Addr tag = line >> setShift;
+    const std::span<Way> set = setOf(line);
+    mruLine = line;
 
     CacheAccessResult result;
     result.latency = params_.hitLatency;
 
-    for (Way &w : set.ways) {
+    for (Way &w : set) {
         if (w.valid && w.tag == tag) {
             hits_++;
             w.lastUse = stamp;
             w.dirty |= write;
+            mruWay = static_cast<std::size_t>(&w - ways_.data());
             result.hit = true;
             return result;
         }
@@ -86,8 +84,8 @@ CacheModel::accessLine(Addr addr, bool write, TrafficClass cls)
 
     // Miss: allocate over the LRU way.
     misses_++;
-    Way *victim = &set.ways[0];
-    for (Way &w : set.ways) {
+    Way *victim = &set[0];
+    for (Way &w : set) {
         if (!w.valid) {
             victim = &w;
             break;
@@ -100,9 +98,8 @@ CacheModel::accessLine(Addr addr, bool write, TrafficClass cls)
         result.writeback = true;
         // Reconstruct the victim's byte address from its tag: the
         // dirty data leaves at *its* address, not the requester's.
-        const Addr victimLine =
-            (victim->tag << __builtin_ctzll(numSets)) | setIdx;
-        result.writebackAddr = victimLine * params_.lineBytes;
+        const Addr victimLine = (victim->tag << setShift) | setIdx;
+        result.writebackAddr = victimLine << lineShift;
         propagateWriteback(result.writebackAddr, victim->cls);
     }
     // Read misses fetch the line from the next level; write misses
@@ -110,12 +107,13 @@ CacheModel::accessLine(Addr addr, bool write, TrafficClass cls)
     // file comment). Writes are posted, so only the fill adds
     // latency.
     if (!write)
-        result.latency += propagateFill(line * params_.lineBytes, cls);
+        result.latency += propagateFill(line << lineShift, cls);
     victim->valid = true;
     victim->tag = tag;
     victim->dirty = write;
     victim->lastUse = stamp;
     victim->cls = cls;
+    mruWay = static_cast<std::size_t>(victim - ways_.data());
     return result;
 }
 
@@ -127,11 +125,10 @@ CacheModel::accessRange(Addr addr, u32 bytes, bool write,
     if (bytes == 0)
         return out; // zero-byte ranges touch nothing
     demandBytes_[static_cast<u8>(cls)] += bytes;
-    const Addr first = addr / params_.lineBytes;
-    const Addr last = (addr + bytes - 1) / params_.lineBytes;
+    const Addr first = addr >> lineShift;
+    const Addr last = (addr + bytes - 1) >> lineShift;
     for (Addr line = first; line <= last; line++) {
-        CacheAccessResult r =
-            accessLine(line * params_.lineBytes, write, cls);
+        CacheAccessResult r = accessLine(line << lineShift, write, cls);
         if (!r.hit)
             out.missLines++;
         if (r.writeback)
@@ -147,17 +144,16 @@ void
 CacheModel::invalidateAll()
 {
     for (u64 s = 0; s < numSets; s++) {
-        for (Way &w : sets[s].ways) {
+        for (Way &w : setOf(s)) { // line s lies in set s
             if (w.valid && w.dirty) {
                 writebacks_++;
-                const Addr victimLine =
-                    (w.tag << __builtin_ctzll(numSets)) | s;
-                propagateWriteback(victimLine * params_.lineBytes,
-                                   w.cls);
+                const Addr victimLine = (w.tag << setShift) | s;
+                propagateWriteback(victimLine << lineShift, w.cls);
             }
             w = Way{};
         }
     }
+    mruLine = noLine;
 }
 
 } // namespace regpu

@@ -24,6 +24,7 @@
 #ifndef REGPU_TIMING_CACHE_HH
 #define REGPU_TIMING_CACHE_HH
 
+#include <span>
 #include <vector>
 
 #include "common/config.hh"
@@ -69,8 +70,12 @@ class CacheModel
      * @param cls   traffic class charged for downstream fills and for
      *              this line's eventual writeback
      */
-    CacheAccessResult access(Addr addr, bool write,
-                             TrafficClass cls = TrafficClass::Geometry);
+    CacheAccessResult
+    access(Addr addr, bool write, TrafficClass cls = TrafficClass::Geometry)
+    {
+        demandBytes_[static_cast<u8>(cls)] += params_.lineBytes;
+        return accessLine(addr, write, cls);
+    }
 
     /** Aggregate outcome of a multi-line access. */
     struct RangeOutcome
@@ -125,19 +130,6 @@ class CacheModel
     }
 
   private:
-    /** One-line access without demand accounting (range splitting
-     *  counts the caller's exact byte demand once, at the entry
-     *  point, so conservation stays exact across differing line
-     *  sizes). */
-    CacheAccessResult accessLine(Addr addr, bool write,
-                                 TrafficClass cls);
-
-    /** Send a victim line downstream. */
-    void propagateWriteback(Addr lineAddr, TrafficClass cls);
-
-    /** Fetch a missing line from downstream; returns fill latency. */
-    Cycles propagateFill(Addr lineAddr, TrafficClass cls);
-
     struct Way
     {
         bool valid = false;
@@ -146,14 +138,59 @@ class CacheModel
         u64 lastUse = 0;
         TrafficClass cls = TrafficClass::Geometry;
     };
-    struct Set
+
+    /** No line: addresses stay far below 2^64 - 1, where only a
+     *  1-byte-line cache could form this line number. */
+    static constexpr Addr noLine = ~Addr{0};
+
+    /** One-line access without demand accounting (range splitting
+     *  counts the caller's exact byte demand once, at the entry
+     *  point, so conservation stays exact across differing line
+     *  sizes). Inline, so that a repeat of the last line, about half
+     *  of all texel fetches, costs one compare and the hit's
+     *  bookkeeping; any other line takes the out-of-line set scan. */
+    CacheAccessResult
+    accessLine(Addr addr, bool write, TrafficClass cls)
     {
-        std::vector<Way> ways;
-    };
+        const Addr line = addr >> lineShift;
+        accesses_++;
+        stamp++;
+        if (line != mruLine)
+            return accessSet(line, write, cls);
+        hits_++;
+        Way &way = ways_[mruWay];
+        way.lastUse = stamp;
+        way.dirty |= write;
+        CacheAccessResult result;
+        result.hit = true;
+        result.latency = params_.hitLatency;
+        return result;
+    }
+
+    /** The ways of @p line's set. */
+    std::span<Way> setOf(Addr line);
+
+    /** Look @p line up in its set, allocating it over the LRU way on a
+     *  miss, and point the memo at the way that now holds it. */
+    CacheAccessResult accessSet(Addr line, bool write, TrafficClass cls);
+
+    /** Send a victim line downstream. */
+    void propagateWriteback(Addr lineAddr, TrafficClass cls);
+
+    /** Fetch a missing line from downstream; returns fill latency. */
+    Cycles propagateFill(Addr lineAddr, TrafficClass cls);
 
     CacheParams params_;
     u64 numSets;
-    std::vector<Set> sets;
+    u32 lineShift; //!< log2(lineBytes)
+    u32 setShift;  //!< log2(numSets)
+    std::vector<Way> ways_; //!< set-major: set s is [s*ways, (s+1)*ways)
+    // MRU memo: the line the last access touched and the index of the
+    // way now holding it. Only a miss, which moves the memo, or
+    // invalidateAll, which clears it, can evict that line, so a repeat
+    // is a hit on that way without a scan.
+    Addr mruLine = noLine;
+    std::size_t mruWay = 0;
     CacheModel *next_ = nullptr;
     DramModel *dram_ = nullptr;
     u64 stamp = 0;

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/logging.hh"
 #include "obs/obs.hh"
 
 namespace regpu
@@ -54,9 +55,20 @@ MemSystem::parameterRead(Addr addr, u32 bytes)
 void
 MemSystem::texelFetch(u32 textureCacheIndex, Addr addr)
 {
-    StreamFrontEnd &fe = texels_[textureCacheIndex % texels_.size()];
-    CacheAccessResult r = fe.touch(addr);
-    if (!r.hit) {
+    texelFetches(textureCacheIndex, {&addr, 1});
+}
+
+void
+MemSystem::texelFetches(u32 textureCacheIndex, std::span<const Addr> addrs)
+{
+    REGPU_ASSERT(textureCacheIndex < texels_.size(),
+                 "texture cache index ", textureCacheIndex,
+                 " out of range");
+    StreamFrontEnd &fe = texels_[textureCacheIndex];
+    for (Addr addr : addrs) {
+        CacheAccessResult r = fe.touch(addr);
+        if (r.hit)
+            continue;
         frame.texelMisses++;
         // The fragment processors keep several misses in flight
         // (config.texelMissesInFlight); charge only the exposed

@@ -112,6 +112,8 @@ class MemSystem : public MemTraceSink
     void parameterWrite(Addr addr, u32 bytes) override;
     void parameterRead(Addr addr, u32 bytes) override;
     void texelFetch(u32 textureCacheIndex, Addr addr) override;
+    void texelFetches(u32 textureCacheIndex,
+                      std::span<const Addr> addrs) override;
     void colorFlush(Addr addr, u32 bytes) override;
     void colorRead(Addr addr, u32 bytes) override;
 

@@ -347,10 +347,13 @@ class NaiveCache
  * hot sets with three times as many candidate lines as ways, so LRU
  * evictions of clean and dirty lines happen well before the next
  * invalidateAll even in the 4096-line L2; the rest scatter over a
- * wide footprint.
+ * wide footprint. With @p repeatLines, about half the accesses
+ * repeat the line just accessed, reads and writes alike, as the
+ * horizontal texel pairs of a bilinear sample do.
  */
 void
-expectMatchesNaive(const CacheParams &params, u64 seed)
+expectMatchesNaive(const CacheParams &params, u64 seed,
+                   bool repeatLines = false)
 {
     SCOPED_TRACE(params.name);
     CacheModel model(params);
@@ -360,18 +363,24 @@ expectMatchesNaive(const CacheParams &params, u64 seed)
     const u64 hotSets = std::min<u64>(numSets, 8);
     const int accesses = 20000;
     u64 dirtyEvictions = 0;
+    u64 repeatWrites = 0;
+    Addr line = 0;
     for (int i = 0; i < accesses; i++) {
         if (i % 300 == 299) {
             model.invalidateAll();
             naive.invalidateAll();
         }
-        const Addr line = rng.nextBounded(4) != 0
-            ? rng.nextBounded(3 * params.ways) * numSets
-                + rng.nextBounded(hotSets)
-            : rng.nextBounded(1 << 20);
+        const bool repeat =
+            repeatLines && i > 0 && rng.nextBounded(2) == 0;
+        if (!repeat)
+            line = rng.nextBounded(4) != 0
+                ? rng.nextBounded(3 * params.ways) * numSets
+                    + rng.nextBounded(hotSets)
+                : rng.nextBounded(1 << 20);
         const Addr addr =
             line * params.lineBytes + rng.nextBounded(params.lineBytes);
         const bool write = rng.nextBounded(3) == 0;
+        repeatWrites += repeat && write;
         const auto cls = static_cast<TrafficClass>(rng.nextBounded(4));
 
         const CacheAccessResult got = model.access(addr, write, cls);
@@ -398,6 +407,9 @@ expectMatchesNaive(const CacheParams &params, u64 seed)
     EXPECT_GT(naive.misses, naive.fills); // write misses allocate
     EXPECT_GT(dirtyEvictions, 0u);
     EXPECT_GT(naive.writebacks, dirtyEvictions); // invalidateAll too
+    if (repeatLines) {
+        EXPECT_GT(repeatWrites, 0u);
+    }
 }
 
 } // namespace
@@ -414,4 +426,16 @@ TEST(CacheOracle, FourSetTwoWayConflictsMatchNaiveLru)
 {
     // 4 sets x 2 ways: nearly every access conflicts.
     expectMatchesNaive(smallCache(4 * 2 * 64, 2, 64, "4set2way"), 42);
+}
+
+TEST(CacheOracle, RepeatedLinesMatchNaiveLru)
+{
+    // CacheModel answers a repeat of the last line from a memo without
+    // scanning the set. A repeated write must still dirty the line,
+    // and a repeat right after invalidateAll must miss.
+    const GpuConfig cfg;
+    expectMatchesNaive(cfg.textureCache, 0x4e9e47, true);
+    expectMatchesNaive(cfg.l2Cache, 0x4e9e48, true);
+    expectMatchesNaive(smallCache(16 * 64, 1, 64, "16set1way"), 0x4e9e49,
+                       true);
 }

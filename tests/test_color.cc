@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "gpu/color.hh"
 
 using namespace regpu;
@@ -32,6 +34,23 @@ TEST(Color, ToVec4RoundTripWithinQuantum)
     Color c(100, 150, 200, 250);
     Color back = Color::fromVec4(c.toVec4());
     EXPECT_EQ(back, c);
+}
+
+TEST(Color, Unorm8TableMatchesDivision)
+{
+    // The volatile divisor keeps the division at run time: the table
+    // must hold exactly the floats the divss it replaces produced.
+    volatile float d = 255.0f;
+    for (u32 n = 0; n < 256; n++) {
+        const float want = static_cast<float>(n) / d;
+        EXPECT_EQ(std::bit_cast<u32>(unorm8ToFloat[n]),
+                  std::bit_cast<u32>(want))
+            << n;
+        const u8 c = static_cast<u8>(n);
+        const Vec4 v = Color(c, c, c, c).toVec4();
+        EXPECT_EQ(std::bit_cast<u32>(v.x), std::bit_cast<u32>(want)) << n;
+        EXPECT_EQ(std::bit_cast<u32>(v.w), std::bit_cast<u32>(want)) << n;
+    }
 }
 
 TEST(Blend, ReplaceIgnoresDestination)

@@ -160,6 +160,17 @@ TEST(GpuConfigDeathTest, CacheModelConstructorGuardsGeometryToo)
                 "set count must be a power of two");
 }
 
+TEST(GpuConfigDeathTest, NonPowerOfTwoLineBytesIsFatal)
+{
+    // 48 B lines in 64 sets: the set count alone passes, but the
+    // cache model's shift indexing would alias lines.
+    GpuConfig bad;
+    bad.textureCache.lineBytes = 48;
+    bad.textureCache.sizeBytes = 48 * bad.textureCache.ways * 64;
+    EXPECT_EXIT(bad.validate(), ::testing::ExitedWithCode(1),
+                "lineBytes must be a power of two");
+}
+
 TEST(GpuConfig, DefaultConfigValidates)
 {
     GpuConfig c;

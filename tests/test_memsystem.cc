@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "gpu/texture.hh"
+#include "gpu/tile_pool.hh"
 #include "sim/simulator.hh"
 #include "timing/memsystem.hh"
 #include "trace/trace_scene.hh"
@@ -255,6 +257,78 @@ TEST(MemSystem, FrameSummaryCarriesPerFrameDramDeltas)
     MemFrameSummary f2 = mem.endFrame();
     EXPECT_EQ(f2.dramDelta.writes(TrafficClass::Colors), 256u);
     EXPECT_EQ(f2.dramDelta.reads(TrafficClass::Texels), 0u);
+}
+
+TEST(MemSystem, PerSampleTexelCallsMatchPerAddressCalls)
+{
+    // One seeded stream of bilinear 2x2 footprints, as TileRenderer
+    // issues them: per address, per sample, and per sample recorded
+    // by the tile pool's MemEventRecorder and replayed at the merge.
+    GpuConfig cfg;
+    MemSystem perAddress(cfg), perSample(cfg), replayed(cfg);
+    const Texture tex(3, 256, 256, TexturePattern::Solid, 1);
+    Rng rng(0x7e7e1);
+    float s = 0, t = 0;
+    for (int frame = 0; frame < 3; frame++) {
+        MemEventRecorder recorder;
+        for (int i = 0; i < 6000; i++) {
+            // Mostly short scanline steps, sometimes a jump.
+            if (rng.nextBounded(16) == 0) {
+                s = rng.nextFloat();
+                t = rng.nextFloat();
+            } else {
+                s += 0.5f / 256;
+                t += 0.01f / 256;
+            }
+            TexelFootprint fp;
+            Sampler::sample(tex, s, t, Sampler::Filter::Bilinear, &fp);
+            ASSERT_EQ(fp.count, 4u);
+            const u32 cache =
+                static_cast<u32>(rng.nextBounded(cfg.numTextureCaches));
+            for (Addr a : fp.addrs())
+                perAddress.texelFetch(cache, a);
+            perSample.texelFetches(cache, fp.addrs());
+            recorder.texelFetches(cache, fp.addrs());
+        }
+        recorder.replay(replayed);
+
+        const MemFrameSummary want = perAddress.endFrame();
+        EXPECT_GT(want.texelMisses, 0u);
+        for (MemSystem *mem : {&perSample, &replayed}) {
+            const MemFrameSummary got = mem->endFrame();
+            EXPECT_EQ(got.texelMisses, want.texelMisses);
+            EXPECT_EQ(got.texelStallCycles, want.texelStallCycles);
+            for (u8 c = 0; c < 4; c++) {
+                const auto cls = static_cast<TrafficClass>(c);
+                EXPECT_EQ(got.dramDelta.reads(cls),
+                          want.dramDelta.reads(cls));
+                EXPECT_EQ(got.dramDelta.writes(cls),
+                          want.dramDelta.writes(cls));
+                EXPECT_EQ(got.dramDelta.writebacks(cls),
+                          want.dramDelta.writebacks(cls));
+            }
+        }
+    }
+
+    auto expectSameCounts = [](const CacheModel &got,
+                               const CacheModel &want, u32 index) {
+        SCOPED_TRACE(::testing::Message() << want.params().name << index);
+        EXPECT_EQ(got.accesses(), want.accesses());
+        EXPECT_EQ(got.hits(), want.hits());
+        EXPECT_EQ(got.misses(), want.misses());
+        EXPECT_EQ(got.fills(), want.fills());
+    };
+    for (MemSystem *mem : {&perSample, &replayed}) {
+        expectSameCounts(mem->l2Ref(), perAddress.l2Ref(), 0);
+        for (u32 i = 0; i < cfg.numTextureCaches; i++)
+            expectSameCounts(mem->textureCacheRef(i),
+                             perAddress.textureCacheRef(i), i);
+    }
+    for (MemSystem *mem : {&perAddress, &perSample, &replayed})
+        expectConserved(*mem);
+    // The stream re-hits lines as the renderer's does.
+    EXPECT_GT(perAddress.textureCacheRef(0).hits(),
+              perAddress.textureCacheRef(0).misses());
 }
 
 // ---------------------------------------------------------------------------

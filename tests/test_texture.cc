@@ -84,17 +84,24 @@ TEST(Sampler, NearestPicksExactTexel)
 TEST(Sampler, NearestTouchesOneTexel)
 {
     Texture t(0, 32, 32, TexturePattern::Solid, 5);
-    std::vector<Addr> touched;
+    TexelFootprint touched;
     Sampler::sample(t, 0.5f, 0.5f, Sampler::Filter::Nearest, &touched);
-    EXPECT_EQ(touched.size(), 1u);
+    EXPECT_EQ(touched.count, 1u);
+    EXPECT_EQ(touched.addrs()[0], t.texelAddr(16, 16));
 }
 
 TEST(Sampler, BilinearTouchesFourTexels)
 {
     Texture t(0, 32, 32, TexturePattern::Solid, 5);
-    std::vector<Addr> touched;
+    TexelFootprint touched;
     Sampler::sample(t, 0.37f, 0.61f, Sampler::Filter::Bilinear, &touched);
-    EXPECT_EQ(touched.size(), 4u);
+    ASSERT_EQ(touched.count, 4u);
+    // The 2x2 quad around (0.37*32 - 0.5, 0.61*32 - 0.5) = (11.34,
+    // 19.02), row by row.
+    EXPECT_EQ(touched.addrs()[0], t.texelAddr(11, 19));
+    EXPECT_EQ(touched.addrs()[1], t.texelAddr(12, 19));
+    EXPECT_EQ(touched.addrs()[2], t.texelAddr(11, 20));
+    EXPECT_EQ(touched.addrs()[3], t.texelAddr(12, 20));
 }
 
 TEST(Sampler, BilinearOnSolidIsExact)
