@@ -1,8 +1,9 @@
 /**
  * @file
  * Host-side microbenchmarks (google-benchmark) of the signature
- * datapath models: Sign/Shift subunits, Compute and Accumulate CRC
- * units, full-message tabular CRC, and the weak-hash alternatives.
+ * datapath: Sign/Shift subunits, full-message tabular CRC, the
+ * block hash and byte-exact combine the Signature Unit runs, and the
+ * weak-hash alternatives.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,7 +15,6 @@
 #include "common/rng.hh"
 #include "crc/crc32_backend.hh"
 #include "crc/hashes.hh"
-#include "crc/units.hh"
 
 using namespace regpu;
 
@@ -56,30 +56,6 @@ BM_ShiftSubunit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ShiftSubunit);
-
-static void
-BM_ComputeCrcUnit(benchmark::State &state)
-{
-    auto msg = randomBytes(static_cast<std::size_t>(state.range(0)));
-    ComputeCrcUnit unit;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(unit.sign(msg).crc);
-    state.SetBytesProcessed(
-        static_cast<i64>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_ComputeCrcUnit)->Arg(64)->Arg(144)->Arg(1024);
-
-static void
-BM_AccumulateCrcUnit(benchmark::State &state)
-{
-    AccumulateCrcUnit unit;
-    u32 crc = 0x12345678;
-    for (auto _ : state) {
-        crc = unit.accumulate(crc, static_cast<u32>(state.range(0)));
-        benchmark::DoNotOptimize(crc);
-    }
-}
-BENCHMARK(BM_AccumulateCrcUnit)->Arg(8)->Arg(18);
 
 static void
 BM_Crc32Reference(benchmark::State &state)

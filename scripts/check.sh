@@ -8,7 +8,8 @@
 # determinism pass (a parallel sweep must emit stdout and a CSV
 # bit-identical to the sequential one), a tile worker pool
 # determinism pass (the same sweep must be bit-identical across
-# --tile-jobs 1/4/8, with the observability sink off and on) and a
+# --tile-jobs 1/4/8, with the observability sink off and on, and so
+# must every obs artifact but the timeline) and a
 # trace record->verify->replay pass (replaying a recorded trace must
 # emit a CSV bit-identical to the live run, and trace_cli verify must
 # hold).
@@ -428,15 +429,19 @@ if [[ "${1:-}" != "--unit" ]]; then
     # The intra-frame pool's contract: tile-parallel rendering is
     # byte-identical to the serial pipeline for any worker count,
     # with observability both off and on (the obs run also exercises
-    # the per-worker gpu.tileWorker spans).
+    # the per-worker gpu.tileWorker spans). Besides the CSV, every obs
+    # artifact but the timeline (per-frame counters, heatmaps, images)
+    # must match between --tile-jobs 1 and 8.
     tile1_csv=$(mktemp)
     tile4_csv=$(mktemp)
     tile8_csv=$(mktemp)
+    tile1_obs_dir=$(mktemp -d)
     tile_obs_dir=$(mktemp -d)
-    CLEANUP_PATHS+=("$tile1_csv" "$tile4_csv" "$tile8_csv" "$tile_obs_dir")
+    CLEANUP_PATHS+=("$tile1_csv" "$tile4_csv" "$tile8_csv" \
+                    "$tile1_obs_dir" "$tile_obs_dir")
     "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te,memo --frames 4 \
         --width 256 --height 160 --quiet --csv "$tile1_csv" \
-        --tile-jobs 1
+        --tile-jobs 1 --obs-dir "$tile1_obs_dir" 2> /dev/null
     "$BUILD_DIR"/suite_cli --workload ccs --tech base,re,te,memo --frames 4 \
         --width 256 --height 160 --quiet --csv "$tile4_csv" \
         --tile-jobs 4 2> /dev/null
@@ -446,7 +451,18 @@ if [[ "${1:-}" != "--unit" ]]; then
     cmp "$tile1_csv" "$tile4_csv"
     cmp "$tile1_csv" "$tile8_csv"
     grep -q '"tileWorker"' "$tile_obs_dir"/timeline.trace.json
+    cmp <(ls "$tile1_obs_dir") <(ls "$tile_obs_dir")
+    tile_artifacts=0
+    for artifact in "$tile1_obs_dir"/*; do
+        name=$(basename "$artifact")
+        if [ "$name" != timeline.trace.json ]; then
+            cmp "$artifact" "$tile_obs_dir/$name"
+            tile_artifacts=$((tile_artifacts + 1))
+        fi
+    done
+    [ "$tile_artifacts" -gt 0 ]
     echo "tile-pool CSV is bit-identical across --tile-jobs 1/4/8 (obs on/off)"
+    echo "$tile_artifacts obs artifacts are bit-identical at --tile-jobs 1 and 8"
 
     echo "== trace record->verify->replay smoke =="
     "$BUILD_DIR"/trace_cli verify "$trace_dir"/*.rgputrace

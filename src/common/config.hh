@@ -22,7 +22,6 @@ struct CacheParams
     u32 lineBytes = 64;
     u32 ways = 2;
     u32 sizeBytes = 4 * KiB;
-    u32 banks = 1;
     Cycles hitLatency = 1;
 };
 
@@ -92,13 +91,13 @@ struct GpuConfig
     u32 fragmentQueueEntries = 64;  //!< 233 B/entry
 
     // --- Caches -----------------------------------------------------------
-    CacheParams vertexCache{"vertexCache", 64, 2, 4 * KiB, 1, 1};
-    CacheParams textureCache{"textureCache", 64, 2, 8 * KiB, 1, 1};
+    CacheParams vertexCache{"vertexCache", 64, 2, 4 * KiB, 1};
+    CacheParams textureCache{"textureCache", 64, 2, 8 * KiB, 1};
     u32 numTextureCaches = 4;
-    CacheParams tileCache{"tileCache", 64, 8, 128 * KiB, 8, 1};
-    CacheParams l2Cache{"l2Cache", 64, 8, 256 * KiB, 8, 2};
-    CacheParams colorBuffer{"colorBuffer", 64, 1, 1 * KiB, 1, 1};
-    CacheParams depthBuffer{"depthBuffer", 64, 1, 1 * KiB, 1, 1};
+    CacheParams tileCache{"tileCache", 64, 8, 128 * KiB, 1};
+    CacheParams l2Cache{"l2Cache", 64, 8, 256 * KiB, 2};
+    CacheParams colorBuffer{"colorBuffer", 64, 1, 1 * KiB, 1};
+    CacheParams depthBuffer{"depthBuffer", 64, 1, 1 * KiB, 1};
 
     // --- Non-programmable stage throughputs -------------------------------
     u32 trianglesPerCycle = 1;      //!< primitive assembly

@@ -27,9 +27,8 @@ u32
 gf2PowXMod(u64 n)
 {
     // Square-and-multiply on the exponent of x.
-    u32 result = 0x80000000u >> 31; // the polynomial "1"
-    result = 1u;                    // x^0
-    u32 base = 2u;                  // x^1
+    u32 result = 1u; // x^0, the polynomial "1"
+    u32 base = 2u;   // x^1
     while (n > 0) {
         if (n & 1)
             result = gf2MulMod(result, base);

@@ -82,17 +82,20 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
         hooks->geometryDone();
 
     // ---- Raster Pipeline, tile by tile ---------------------------------
-    // One loop, two schedules (docs/ARCHITECTURE.md): phase1(t) renders
-    // tile t into a private TileTask, merge(t) folds everything
-    // order-sensitive back on this thread in strict tile order. The pool
-    // runs phase 1 on tileJobs workers, each recording its memory
-    // accesses for the merge to replay. The direct schedule runs
-    // phase1(t) and merge(t) inline, back to back: it renders straight
-    // into the shared MemSystem, makes the counted render decision once
-    // instead of peek-then-confirm, and reuses one task slot so the color
-    // vector's capacity survives across tiles. Both produce the per-tile
-    // stream [counted decision][render traffic][flush], which keeps
-    // output bit-identical across --tile-jobs values.
+    // One loop, two schedules (docs/ARCHITECTURE.md). First the counted
+    // render decision for every tile, in tile order, on this thread: it
+    // reads only signatures geometry has finished writing and makes no
+    // memory access, so taking it up front leaves the MemSystem's event
+    // stream unchanged. Then phase1(t) renders tile t into a private
+    // TileTask and merge(t) folds everything order-sensitive back on
+    // this thread in strict tile order. The pool runs phase 1 on
+    // tileJobs workers, each recording its memory accesses for the
+    // merge to replay. The direct schedule runs phase1(t) and merge(t)
+    // inline, back to back: it renders straight into the shared
+    // MemSystem and reuses one task slot so the color vector's capacity
+    // survives across tiles. Both produce the per-tile stream [render
+    // traffic][flush], which keeps output bit-identical across
+    // --tile-jobs values.
     const u32 numTiles = config.numTiles();
     result.tiles.resize(numTiles);
     FragmentMemoClient *memo = hooks ? hooks->memoClient() : nullptr;
@@ -109,13 +112,16 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
         ObsScope rasterSpan("gpu", "raster", "frame",
                             static_cast<i64>(frameCounter), "tiles",
                             static_cast<i64>(numTiles));
+        if (hooks)
+            for (TileId tile = 0; tile < numTiles; tile++)
+                result.tiles[tile].rendered = hooks->shouldRenderTile(tile);
+
         struct TileTask
         {
             std::vector<Color> colors;
             MemEventRecorder memEvents;
             TileRenderStats renderStats;
             u32 preparedFlush = 0;
-            bool render = true;
             bool equalColors = false;
         };
         std::vector<TileTask> tasks(direct ? 1u : numTiles);
@@ -131,10 +137,7 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                 tileSpan.emplace("gpu", "tile", "tile",
                                  static_cast<i64>(tile));
             TileTask &task = taskFor(tile);
-            task.render = !hooks
-                || (direct ? hooks->shouldRenderTile(tile)
-                           : hooks->queryRenderTile(tile));
-            if (task.render) {
+            if (result.tiles[tile].rendered) {
                 TileRenderer renderer(config,
                                       direct ? mem : &task.memEvents,
                                       textures, memo);
@@ -152,7 +155,7 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                 // and its stats are dropped.
                 TileRenderer(config, nullptr, textures)
                     .renderTile(tile, result.binned, commands.draws,
-                                commands.clearColor, task.colors, false);
+                                commands.clearColor, task.colors);
                 task.equalColors = fb.tileEquals(tile, task.colors);
             }
         };
@@ -160,20 +163,7 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
         auto merge = [&](TileId tile) {
             TileTask &task = taskFor(tile);
             TileOutcome &out = result.tiles[tile];
-            // The pool's authoritative decision, with its counted
-            // buffer reads and stats, cross-checked against the
-            // prediction phase 1 rendered under.
-            const bool render = (direct || !hooks)
-                ? task.render
-                : hooks->shouldRenderTile(tile);
-            REGPU_ASSERT(render == task.render,
-                         "queryRenderTile diverged from "
-                         "shouldRenderTile for tile ", tile,
-                         " - the hooks violate the tileWorkersSafe "
-                         "contract");
-            out.rendered = render;
-
-            if (render) {
+            if (out.rendered) {
                 // The MemSystem's cache state depends on the access
                 // order, which is why replay happens here and not on
                 // the worker.

@@ -52,7 +52,10 @@ class PipelineHooks
     virtual void geometryDone() {}
 
     /** Should this tile's Raster Pipeline execution run at all?
-     *  (Rendering Elimination answers false for redundant tiles.) */
+     *  (Rendering Elimination answers false for redundant tiles.)
+     *  The counted decision: called once per tile per frame, in tile
+     *  order, on the thread that called renderFrame, after
+     *  geometryDone and before any tile renders. */
     virtual bool shouldRenderTile(TileId /*tile*/) { return true; }
 
     /** Tile rendered; should its colors be flushed to the Frame
@@ -72,29 +75,25 @@ class PipelineHooks
 
     // ---- Tile worker pool contract (docs/ARCHITECTURE.md) --------------
     //
-    // Every frame's tiles go through one raster loop: phase 1 renders a
-    // tile into private state, and a merge in strict tile order charges
-    // and flushes it. Both schedules hand prepareFlushTile's phase-1
-    // value to shouldFlushTilePre in the merge. The pool schedule runs
-    // phase 1 on --tile-jobs workers, which ask queryRenderTile, and
-    // the merge confirms with the counted shouldRenderTile. The direct
-    // schedule runs phase 1 and the merge back to back on the calling
-    // thread and asks shouldRenderTile once. It serves --tile-jobs 1
-    // and every hook that does not opt in below, such as Fragment
-    // Memoization, whose LUT is mutable state shared across tiles.
+    // Every frame's tiles go through one raster loop: the render
+    // decisions above, then phase 1 renders a tile into private state,
+    // and a merge in strict tile order charges and flushes it. Both
+    // schedules hand prepareFlushTile's phase-1 value to
+    // shouldFlushTilePre in the merge. The pool schedule runs phase 1
+    // on --tile-jobs workers; the direct schedule runs phase 1 and the
+    // merge back to back on the calling thread. The direct schedule
+    // serves --tile-jobs 1 and every hook that does not opt in below,
+    // such as Fragment Memoization, whose LUT is mutable state shared
+    // across tiles.
 
     /** Opt into the pool schedule. Implementations returning true
-     *  guarantee: queryRenderTile is pure and thread-safe,
-     *  prepareFlushTile is pure and thread-safe, and memoClient() is
-     *  nullptr. */
+     *  guarantee: prepareFlushTile is pure and thread-safe, and
+     *  memoClient() is nullptr. */
     virtual bool tileWorkersSafe() const { return false; }
 
-    /**
-     * Phase-1 prediction of shouldRenderTile: same answer, no side
-     * effects (no stats, no signature-buffer access counting), safe to
-     * call concurrently for distinct tiles. The merge phase asserts it
-     * agrees with shouldRenderTile for every tile.
-     */
+    /** Nothing in src/ calls this. It stays declared only because
+     *  perfbench's TimedHooks forwards it; the next benchmark change
+     *  deletes it together with that forwarding (ROADMAP item 8). */
     virtual bool queryRenderTile(TileId /*tile*/) { return true; }
 
     /**

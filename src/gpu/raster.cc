@@ -76,8 +76,7 @@ TileRenderer::fragmentSignature(const DrawCall &draw, Vec4 color,
 TileRenderStats
 TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
                          const std::vector<DrawCall> &draws,
-                         Color clearColor, std::vector<Color> &outColors,
-                         bool chargeCost)
+                         Color clearColor, std::vector<Color> &outColors)
 {
     TileRenderStats ts;
     const u32 tw = config.tileWidth;
@@ -107,7 +106,7 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
         // the Parameter Buffer through the Tile Cache.
         ts.primitivesFetched++;
         ts.parameterBytesRead += ref.pbBytes;
-        if (chargeCost && mem)
+        if (mem)
             mem->parameterRead(ref.pbAddr, ref.pbBytes);
 
         // Rasterizer setup: edge functions from the vertices.
@@ -202,11 +201,9 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
                   case ShaderKind::TexLit: {
                     TexelFootprint touched;
                     Color texel = tex
-                        ? Sampler::sample(*tex, uv.x, uv.y,
-                                          Sampler::Filter::Bilinear,
-                                          &touched)
+                        ? Sampler::sample(*tex, uv.x, uv.y, &touched)
                         : Color(255, 0, 255);
-                    if (tex && chargeCost && mem) {
+                    if (tex && mem) {
                         // Round-robin texel streams over the 4 texture
                         // caches by fragment-quad position.
                         u32 cacheIdx = ((px >> 1) + (py >> 1))

@@ -74,7 +74,9 @@ struct TileRenderStats
 class TileRenderer
 {
   public:
-    /** @param _memo optional memoization hook (Fragment Memoization) */
+    /** @param _mem  memory sink; nullptr renders a "shadow" tile that
+     *               records no traffic (ground truth for skipped tiles)
+     *  @param _memo optional memoization hook (Fragment Memoization) */
     TileRenderer(const GpuConfig &_config, MemTraceSink *_mem,
                  const std::vector<Texture> &_textures,
                  FragmentMemoClient *_memo = nullptr)
@@ -89,16 +91,12 @@ class TileRenderer
      * @param draws      the frame's drawcalls (pipeline state lookup)
      * @param clearColor tile background
      * @param outColors  tileWidth*tileHeight colors, row-major
-     * @param chargeCost when false the render is a "shadow" pass used
-     *                   only for ground-truth statistics: no memory
-     *                   traffic is recorded
      * @return per-tile statistics
      */
     TileRenderStats renderTile(TileId tile, const BinnedFrame &frame,
                                const std::vector<DrawCall> &draws,
                                Color clearColor,
-                               std::vector<Color> &outColors,
-                               bool chargeCost = true);
+                               std::vector<Color> &outColors);
 
     /**
      * Compute the memoization signature of a fragment: hash of shader

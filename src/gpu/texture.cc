@@ -118,18 +118,11 @@ Texture::Texture(u32 id, u32 w, u32 h, TexturePattern pattern, u64 seed)
 }
 
 Color
-Sampler::sample(const Texture &tex, float s, float t, Filter filter,
+Sampler::sample(const Texture &tex, float s, float t,
                 TexelFootprint *touched)
 {
     float u = s * tex.width() - 0.5f;
     float v = t * tex.height() - 0.5f;
-    if (filter == Filter::Nearest) {
-        i32 iu = static_cast<i32>(std::floor(u + 0.5f));
-        i32 iv = static_cast<i32>(std::floor(v + 0.5f));
-        if (touched)
-            *touched = {{tex.texelAddr(iu, iv)}, 1};
-        return tex.texel(iu, iv);
-    }
     i32 u0 = static_cast<i32>(std::floor(u));
     i32 v0 = static_cast<i32>(std::floor(v));
     float fu = u - u0, fv = v - v0;

@@ -104,8 +104,8 @@ class Texture
     std::vector<Color> texels;
 };
 
-/** The texel addresses one sample read: one (nearest) or four
- *  (bilinear), in fetch order. */
+/** The texel addresses one bilinear sample read, in fetch order
+ *  (none when no texture is bound). */
 struct TexelFootprint
 {
     std::array<Addr, 4> addr{};
@@ -115,14 +115,12 @@ struct TexelFootprint
 };
 
 /**
- * Nearest / bilinear sampler. Also reports the texel addresses it
- * touched so the caller can drive the texture-cache model.
+ * Bilinear sampler. Also reports the texel addresses it touched so
+ * the caller can drive the texture-cache model.
  */
 class Sampler
 {
   public:
-    enum class Filter { Nearest, Bilinear };
-
     /**
      * Sample @p tex at normalized coordinates (s, t) with wrapping.
      * @param touched if non-null, overwritten with the texel addresses
@@ -130,7 +128,7 @@ class Sampler
      * @return filtered color
      */
     static Color sample(const Texture &tex, float s, float t,
-                        Filter filter, TexelFootprint *touched);
+                        TexelFootprint *touched);
 };
 
 } // namespace regpu

@@ -125,25 +125,12 @@ class RenderingElimination : public PipelineHooks
     }
 
     /**
-     * Tile-pool opt-in: during the raster phase RE's state is
-     * read-only (signatures were accumulated at geometry time), the
-     * query below is pure, and RE attaches no memo client.
+     * Tile-pool opt-in: RE keeps the default (pure) prepareFlushTile
+     * and attaches no memo client. Its one raster-phase call,
+     * shouldRenderTile, runs on the calling thread before the tiles
+     * render.
      */
     bool tileWorkersSafe() const override { return true; }
-
-    /** Phase-1 prediction: compare()'s answer without its counted
-     *  SRAM reads or stats - those stay with shouldRenderTile in the
-     *  serial merge phase, so stats match the serial pipeline
-     *  bit-for-bit under any --tile-jobs. */
-    bool
-    queryRenderTile(TileId tile) override
-    {
-        if (!enabled)
-            return true;
-        bool matched = false;
-        const bool comparable = buffer.peekCompare(tile, matched);
-        return !(comparable && matched);
-    }
 
     bool
     shouldRenderTile(TileId tile) override

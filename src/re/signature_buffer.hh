@@ -116,21 +116,6 @@ class SignatureBuffer
     compare(TileId tile, bool &matched)
     {
         reads_ += 2;
-        return peekCompare(tile, matched);
-    }
-
-    /**
-     * compare() without the access accounting: same validity check and
-     * equality answer, but reads_ stays untouched and the object is
-     * const. This is the tile worker pool's phase-1 prediction path
-     * (PipelineHooks::queryRenderTile): workers may peek concurrently
-     * while the serial merge phase issues the one *counted* compare()
-     * per tile, keeping re.sigBufferAccesses bit-identical to the
-     * serial pipeline for any worker count.
-     */
-    bool
-    peekCompare(TileId tile, bool &matched) const
-    {
         const u32 prev = (current + 1) % span;
         const Slot &cur = slots[current];
         const Slot &old = slots[prev];

@@ -17,6 +17,13 @@
  *    first if this tile has not yet seen this drawcall's constants
  *    (bitmap check), then folds in the primitive CRC, and writes the
  *    result back.
+ *
+ * Cost model of the two CRC units (Figs. 8-9, Algorithms 2-3): the
+ * Compute CRC unit signs a block one 64-bit sub-block per cycle with
+ * 12 LUT reads (8 Sign + 4 Shift); the Accumulate CRC unit re-aligns
+ * a tile's running CRC past a block, x^(8 * length), one Shift step of
+ * 4 LUT reads per sub-block. A partial final sub-block still takes a
+ * full cycle in both, and is folded byte-exact (never zero-padded).
  */
 
 #ifndef REGPU_RE_SIGNATURE_UNIT_HH
@@ -28,11 +35,24 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "crc/hashes.hh"
-#include "crc/units.hh"
 #include "re/signature_buffer.hh"
 
 namespace regpu
 {
+
+/** Result of signing one data block. */
+struct BlockSignature
+{
+    u32 crc = 0;         //!< F(block), byte-exact
+    u64 lengthBytes = 0; //!< block length in bytes
+
+    /** Datapath occupancy: 64-bit sub-blocks, tail included. */
+    u32
+    subBlocks() const
+    {
+        return static_cast<u32>((lengthBytes + 7) / 8);
+    }
+};
 
 /** Cycle/energy activity of the Signature Unit for one frame. */
 struct SignatureUnitActivity
@@ -67,8 +87,7 @@ class SignatureUnit
     {
         activity_ = SignatureUnitActivity{};
         bitmap.assign(config.numTiles(), 0);
-        constantsCrc = 0;
-        constantsBytes = 0;
+        constants = {};
         suBusy = 0;
         geomBusy = 0;
     }
@@ -80,9 +99,7 @@ class SignatureUnit
     void
     onConstants(std::span<const u8> constantBytes)
     {
-        BlockSignature sig = signBlock(constantBytes);
-        constantsCrc = sig.crc;
-        constantsBytes = sig.lengthBytes;
+        constants = signBlock(constantBytes);
         std::fill(bitmap.begin(), bitmap.end(), u8{0});
         activity_.bitmapAccesses += 1; // flash clear
     }
@@ -112,8 +129,7 @@ class SignatureUnit
         // Compute CRC unit signs the attribute block (Algorithm 2).
         BlockSignature prim = signBlock(attributeBytes);
         const u32 primSub = prim.subBlocks();
-        const u32 constSub =
-            static_cast<u32>((constantsBytes + 7) / 8);
+        const u32 constSub = constants.subBlocks();
         Cycles work = primSub; // compute pipeline slot
 
         activity_.otPushes += tiles.size();
@@ -127,8 +143,8 @@ class SignatureUnit
             if (!bitmap[t]) {
                 bitmap[t] = 1;
                 activity_.bitmapAccesses++;
-                running = hashCombine(kind, running, constantsCrc,
-                                      constantsBytes);
+                running = hashCombine(kind, running, constants.crc,
+                                      constants.lengthBytes);
                 work += constSub; // Accumulate unit iterations
                 activity_.accumulateCycles += constSub;
                 activity_.lutAccesses += 4ull * constSub;
@@ -159,18 +175,15 @@ class SignatureUnit
     /** Per-frame activity (cycles, accesses) for timing/energy. */
     const SignatureUnitActivity &activity() const { return activity_; }
 
-    HashKind hashKind() const { return kind; }
-
   private:
     /** Sign a block through the Compute CRC unit model (byte-exact). */
     BlockSignature
     signBlock(std::span<const u8> bytes)
     {
-        const u32 blocks = static_cast<u32>((bytes.size() + 7) / 8);
-        activity_.computeCycles += blocks;
-        activity_.lutAccesses += 12ull * blocks;
-        u32 crc = hashBlock(kind, bytes);
-        return {crc, bytes.size()};
+        const BlockSignature sig{hashBlock(kind, bytes), bytes.size()};
+        activity_.computeCycles += sig.subBlocks();
+        activity_.lutAccesses += 12ull * sig.subBlocks();
+        return sig;
     }
 
     /** Lag the OT queue can absorb: its entries times the typical
@@ -185,8 +198,7 @@ class SignatureUnit
     SignatureBuffer &buffer;
     HashKind kind;
     std::vector<u8> bitmap;
-    u32 constantsCrc = 0;
-    u64 constantsBytes = 0;
+    BlockSignature constants; //!< the current drawcall's constants
     Cycles suBusy = 0;
     Cycles geomBusy = 0;
     SignatureUnitActivity activity_;

@@ -281,7 +281,7 @@ TEST(MemSystem, PerSampleTexelCallsMatchPerAddressCalls)
                 t += 0.01f / 256;
             }
             TexelFootprint fp;
-            Sampler::sample(tex, s, t, Sampler::Filter::Bilinear, &fp);
+            Sampler::sample(tex, s, t, &fp);
             ASSERT_EQ(fp.count, 4u);
             const u32 cache =
                 static_cast<u32>(rng.nextBounded(cfg.numTextureCaches));

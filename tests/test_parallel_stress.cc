@@ -228,14 +228,24 @@ TEST(ParallelStress, ObsSinkEnabledWhileRunnersHammerSharedTraceCache)
 
     ObsSink::instance().disable();
 
-    // 4 runner threads x 4 workers attached rings (the runner threads
-    // themselves also record), and nothing raced: the flush must
-    // produce loadable trace JSON with the runner spans present.
-    EXPECT_GE(ObsSink::instance().threadCount(), 16u);
+    // Nothing raced or overflowed: the flush is trace JSON holding one
+    // job span per runner per job. A ring is parked when its thread
+    // exits and reused by the next thread to attach, so there are no
+    // more rings than recording threads alive at once: 4 runners plus
+    // their 4 x 4 workers. How many of those overlap is up to the
+    // scheduler, so only the upper bound is checked.
+    EXPECT_EQ(ObsSink::instance().droppedEvents(), 0u);
+    EXPECT_LE(ObsSink::instance().threadCount(), 4u + 4u * 4u);
     std::ostringstream trace;
     ObsSink::instance().writeTraceJson(trace);
-    EXPECT_NE(trace.str().find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(trace.str().find("\"runner\""), std::string::npos);
+    const std::string json = trace.str();
+    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    std::size_t jobSpans = 0;
+    for (std::size_t at = json.find("\"cat\":\"runner\"");
+         at != std::string::npos;
+         at = json.find("\"cat\":\"runner\"", at + 1))
+        jobSpans++;
+    EXPECT_EQ(jobSpans, results.size() * jobs.size());
 
     for (std::size_t t = 0; t < results.size(); t++) {
         ASSERT_EQ(results[t].size(), jobs.size());

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <numeric>
+#include <string>
+#include <thread>
+
 #include "crc/crc32.hh"
 #include "gpu/pipeline.hh"
 #include "scene/mesh_gen.hh"
@@ -165,6 +171,75 @@ TEST_F(PipeFixture, HooksObserveDrawcallsAndPrimitives)
     EXPECT_EQ(hooks.draws, 1u);
     EXPECT_EQ(hooks.prims, 2u);
     EXPECT_EQ(hooks.tileQueries, config.numTiles());
+}
+
+TEST_F(PipeFixture, RenderDecisionIsOneCountedCallPerTile)
+{
+    // On both schedules the render decision is the counted
+    // shouldRenderTile: once per tile per frame, in tile order, on the
+    // thread that called renderFrame. The pool's workers ask the
+    // technique nothing about rendering.
+    addCheckerQuad();
+
+    struct DecisionLog : PipelineHooks
+    {
+        u64 frame = 0;
+        std::vector<TileId> asked;
+        std::vector<std::thread::id> askedOn;
+        std::atomic<u64> queries{0};
+
+        /** From frame 2 on, every third tile is skipped. */
+        bool
+        render(TileId tile) const
+        {
+            return frame < 2 || tile % 3 != 1;
+        }
+
+        bool tileWorkersSafe() const override { return true; }
+        void
+        frameBegin(u64 f, bool) override
+        {
+            frame = f;
+            asked.clear();
+            askedOn.clear();
+        }
+        bool
+        shouldRenderTile(TileId tile) override
+        {
+            asked.push_back(tile);
+            askedOn.push_back(std::this_thread::get_id());
+            return render(tile);
+        }
+        bool
+        queryRenderTile(TileId tile) override
+        {
+            queries++;
+            return render(tile);
+        }
+    };
+
+    const u32 numTiles = config.numTiles();
+    std::vector<TileId> tileOrder(numTiles);
+    std::iota(tileOrder.begin(), tileOrder.end(), TileId{0});
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("tile-jobs " + std::to_string(jobs));
+        DecisionLog hooks;
+        GraphicsPipeline pipe(config, stats, nullptr, scene->textures());
+        pipe.setHooks(&hooks);
+        pipe.setTileJobs(jobs);
+        for (u64 f = 0; f < 4; f++) {
+            SCOPED_TRACE("frame " + std::to_string(f));
+            const FrameResult r = pipe.renderFrame(scene->emitFrame(f));
+            EXPECT_EQ(hooks.asked, tileOrder);
+            EXPECT_EQ(std::count(hooks.askedOn.begin(), hooks.askedOn.end(),
+                                 std::this_thread::get_id()),
+                      std::ptrdiff_t{numTiles});
+            for (TileId t = 0; t < numTiles; t++)
+                EXPECT_EQ(r.tiles[t].rendered, hooks.render(t))
+                    << "tile " << t;
+        }
+        EXPECT_EQ(hooks.queries.load(), 0u);
+    }
 }
 
 TEST_F(PipeFixture, SkippingTilePreservesOldBackBufferContent)

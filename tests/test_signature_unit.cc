@@ -235,6 +235,37 @@ TEST_F(SigFixture, ActivityAccountsComputeAndAccumulate)
     EXPECT_EQ(a.sigBufferAccesses, 6u); // read+write per tile
 }
 
+TEST_F(SigFixture, PartialSubBlockCostsAFullCycle)
+{
+    // A 12 B block is one 64-bit sub-block plus a 4 B tail, and the
+    // tail still takes a datapath cycle: 2 Compute CRC cycles to sign
+    // it, 2 Accumulate CRC cycles to fold it into each tile. No
+    // constants arrived, so no tile folds a constants block.
+    unit->onPrimitive(randomBytes(12), {0, 1, 2}, 1000);
+    const SignatureUnitActivity &a = unit->activity();
+    EXPECT_EQ(a.computeCycles, 2u);
+    EXPECT_EQ(a.accumulateCycles, 3u * 2);
+}
+
+TEST_F(SigFixture, LutAccessesPerComputeAndAccumulateCycle)
+{
+    // 12 LUT reads per Compute CRC cycle (8 Sign + 4 Shift) and 4 per
+    // Accumulate CRC cycle (Shift), over unaligned blocks, two
+    // constants sets and tiles revisited under each.
+    unit->onConstants(randomBytes(70));
+    unit->onPrimitive(randomBytes(144), {0, 1, 2}, 1000);
+    unit->onPrimitive(randomBytes(20), {1, 3}, 1000);
+    unit->onConstants(randomBytes(64));
+    unit->onPrimitive(randomBytes(36), {1, 2}, 1000);
+    const SignatureUnitActivity &a = unit->activity();
+    // Compute: 9 + 18 + 3 + 8 + 5 sub-blocks.
+    EXPECT_EQ(a.computeCycles, 43u);
+    // Accumulate: 3 x (9 + 18), 1 x 3 + 1 x (9 + 3), 2 x (8 + 5).
+    EXPECT_EQ(a.accumulateCycles, 81u + 15 + 26);
+    EXPECT_EQ(a.lutAccesses,
+              12 * a.computeCycles + 4 * a.accumulateCycles);
+}
+
 TEST_F(SigFixture, LargeTileCountOverflowsOtQueueAndStalls)
 {
     // A primitive covering far more tiles than the PLB work plus the

@@ -72,29 +72,11 @@ TEST(Texture, SetTexelOverwrites)
     EXPECT_EQ(t.texel(3, 4), red);
 }
 
-TEST(Sampler, NearestPicksExactTexel)
-{
-    Texture t(0, 32, 32, TexturePattern::Checker, 5);
-    // Sample dead-centre of texel (8, 8).
-    Color c = Sampler::sample(t, (8 + 0.5f) / 32, (8 + 0.5f) / 32,
-                              Sampler::Filter::Nearest, nullptr);
-    EXPECT_EQ(c, t.texel(8, 8));
-}
-
-TEST(Sampler, NearestTouchesOneTexel)
-{
-    Texture t(0, 32, 32, TexturePattern::Solid, 5);
-    TexelFootprint touched;
-    Sampler::sample(t, 0.5f, 0.5f, Sampler::Filter::Nearest, &touched);
-    EXPECT_EQ(touched.count, 1u);
-    EXPECT_EQ(touched.addrs()[0], t.texelAddr(16, 16));
-}
-
 TEST(Sampler, BilinearTouchesFourTexels)
 {
     Texture t(0, 32, 32, TexturePattern::Solid, 5);
     TexelFootprint touched;
-    Sampler::sample(t, 0.37f, 0.61f, Sampler::Filter::Bilinear, &touched);
+    Sampler::sample(t, 0.37f, 0.61f, &touched);
     ASSERT_EQ(touched.count, 4u);
     // The 2x2 quad around (0.37*32 - 0.5, 0.61*32 - 0.5) = (11.34,
     // 19.02), row by row.
@@ -107,8 +89,7 @@ TEST(Sampler, BilinearTouchesFourTexels)
 TEST(Sampler, BilinearOnSolidIsExact)
 {
     Texture t(0, 32, 32, TexturePattern::Solid, 5);
-    Color c = Sampler::sample(t, 0.123f, 0.456f,
-                              Sampler::Filter::Bilinear, nullptr);
+    Color c = Sampler::sample(t, 0.123f, 0.456f, nullptr);
     EXPECT_EQ(c, t.texel(0, 0));
 }
 
@@ -118,8 +99,7 @@ TEST(Sampler, BilinearInterpolatesBetweenTexels)
     t.setTexel(0, 0, Color(0, 0, 0, 255));
     t.setTexel(1, 0, Color(255, 255, 255, 255));
     // Halfway between texel 0 and 1 centres on row 0.
-    Color c = Sampler::sample(t, 1.0f / 32, 0.5f / 32,
-                              Sampler::Filter::Bilinear, nullptr);
+    Color c = Sampler::sample(t, 1.0f / 32, 0.5f / 32, nullptr);
     EXPECT_NEAR(c.r, 128, 2);
 }
 
