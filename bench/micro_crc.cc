@@ -171,7 +171,8 @@ BENCHMARK(BM_Crc32CombineBytes)->Arg(70)->Arg(144);
 // CPU lacks are skipped, so the suite runs everywhere and reports
 // exactly the paths this machine can take. The portable row is the
 // slice-by-8 baseline every hardware path must beat for the runtime
-// dispatch to be worth its branch.
+// dispatch to be worth its branch. 20 to 52 B is the range of the
+// fragment signature's message (TileRenderer::fragmentSignature).
 static void
 BM_Crc32BackendBulk(benchmark::State &state)
 {
@@ -195,7 +196,7 @@ BENCHMARK(BM_Crc32BackendBulk)
     ->ArgsProduct({{static_cast<int>(CrcBackend::Portable),
                     static_cast<int>(CrcBackend::Clmul),
                     static_cast<int>(CrcBackend::ArmCrc)},
-                   {64, 1024, 65536}});
+                   {20, 36, 52, 64, 1024, 65536}});
 
 // The dispatched path end-to-end: Crc32Stream::update() as the TE
 // tile-signature loop calls it, which hands chunks of >= 64 bytes to

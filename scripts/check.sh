@@ -44,6 +44,9 @@
 #    test_parallel_stress includes the TilePoolStress suites, so the
 #    intra-frame tile worker pool — including outer sweep workers
 #    crossed with inner tile workers — is TSan-checked automatically.
+#    test_memo (per-thread memo LUTs on the pool) and
+#    test_pipeline_integration (the tile loop's hook calls) run there
+#    too.
 #
 # Every run ends with a gate summary table: per gate, whether it ran,
 # was skipped (and why), failed, or was not part of the invoked flow.
@@ -222,14 +225,15 @@ run_tsan_pass() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DREGPU_BUILD_BENCHES=OFF -DREGPU_BUILD_EXAMPLES=OFF
 
-    echo "== TSan build (parallel runner + stress + obs suites) =="
+    echo "== TSan build (parallel runner + stress + obs + tile loop suites) =="
     cmake --build "$TSAN_DIR" -j"$(nproc)" \
-        --target test_parallel_runner test_parallel_stress test_obs
+        --target test_parallel_runner test_parallel_stress test_obs \
+                 test_memo test_pipeline_integration
 
-    echo "== TSan ctest (determinism + contention stress + obs rings) =="
+    echo "== TSan ctest (determinism + contention stress + obs rings + tile loop) =="
     (cd "$TSAN_DIR" \
          && ctest --output-on-failure \
-                  -R '^(test_parallel_runner|test_parallel_stress|test_obs)$')
+                  -R '^(test_parallel_runner|test_parallel_stress|test_obs|test_memo|test_pipeline_integration)$')
     gate_end tsan
 }
 

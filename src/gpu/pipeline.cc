@@ -99,12 +99,7 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
     const u32 numTiles = config.numTiles();
     result.tiles.resize(numTiles);
     FragmentMemoClient *memo = hooks ? hooks->memoClient() : nullptr;
-    const bool poolSafe = !hooks || (hooks->tileWorkersSafe() && !memo);
-    if (tileJobs > 1 && !poolSafe)
-        warnOnce("--tile-jobs ", tileJobs, " requested but the attached "
-                 "technique is not tile-parallel-safe; rendering tiles "
-                 "serially");
-    const bool direct = tileJobs <= 1 || !poolSafe;
+    const bool direct = tileJobs <= 1;
     {
         // Scoped so the per-frame tile tasks are freed inside the
         // raster span, before frameEnd(), which ends the raster phase
@@ -210,8 +205,7 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
             }
         };
 
-        runOrdered(numTiles, direct ? 1 : tileJobs, phase1, merge,
-                   "tileWorker");
+        runOrdered(numTiles, tileJobs, phase1, merge, "tileWorker");
     }
 
     if (hooks)

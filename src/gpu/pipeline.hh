@@ -79,21 +79,13 @@ class PipelineHooks
     // decisions above, then phase 1 renders a tile into private state,
     // and a merge in strict tile order charges and flushes it. Both
     // schedules hand prepareFlushTile's phase-1 value to
-    // shouldFlushTilePre in the merge. The pool schedule runs phase 1
-    // on --tile-jobs workers; the direct schedule runs phase 1 and the
-    // merge back to back on the calling thread. The direct schedule
-    // serves --tile-jobs 1 and every hook that does not opt in below,
-    // such as Fragment Memoization, whose LUT is mutable state shared
-    // across tiles.
+    // shouldFlushTilePre in the merge. For every technique, phase 1
+    // runs on --tile-jobs pool workers, or inline before each merge
+    // when --tile-jobs is 1 (the direct schedule).
 
-    /** Opt into the pool schedule. Implementations returning true
-     *  guarantee: prepareFlushTile is pure and thread-safe, and
-     *  memoClient() is nullptr. */
+    /** Nothing in src/ calls these two; they stay declared only
+     *  because perfbench's TimedHooks forwards them (ROADMAP item 8). */
     virtual bool tileWorkersSafe() const { return false; }
-
-    /** Nothing in src/ calls this. It stays declared only because
-     *  perfbench's TimedHooks forwards it; the next benchmark change
-     *  deletes it together with that forwarding (ROADMAP item 8). */
     virtual bool queryRenderTile(TileId /*tile*/) { return true; }
 
     /**
@@ -161,9 +153,7 @@ class GraphicsPipeline
     /**
      * Intra-frame tile worker count (default 1 = direct schedule).
      * Purely an execution knob: output is bit-identical for every
-     * value, which is why it lives here and not in GpuConfig. Takes
-     * effect only for hooks that declare tileWorkersSafe() (baseline
-     * included); others run the direct schedule and warn once.
+     * value, which is why it lives here and not in GpuConfig.
      */
     void setTileJobs(unsigned jobs);
 

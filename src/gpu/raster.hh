@@ -26,6 +26,8 @@ class MemTraceSink;
  * Returns true (and fills @p reused) when the fragment's color can be
  * reused from the memoization LUT, bypassing shader execution and
  * texture fetches.
+ * One tile's tileBegin, lookup and insert calls arrive on one thread,
+ * in order; other tiles may be in flight on other threads.
  */
 class FragmentMemoClient
 {

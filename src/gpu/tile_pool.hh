@@ -11,9 +11,10 @@
  *
  *  - step(tile), the pipeline's phase 1: touches only that tile's
  *    private TileTask slot plus state that is read-only during the
- *    raster phase (binned frame, draws, textures, signature buffers)
- *    or per-tile-disjoint (the Frame Buffer's tile regions). Any
- *    claim order is sound.
+ *    raster phase (binned frame, draws, textures, signature buffers),
+ *    per-tile-disjoint (the Frame Buffer's tile regions, the memo's
+ *    tile streams) or per-thread (the memo LUT). Any claim order is
+ *    sound.
  *  - merge(tile): everything order-sensitive — MemSystem replay,
  *    StatRegistry folds, signature-buffer writes, Frame Buffer tile
  *    flushes — executed by the caller, eagerly, for tile 0..N-1 as

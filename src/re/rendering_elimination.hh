@@ -124,14 +124,6 @@ class RenderingElimination : public PipelineHooks
         stats.inc("re.primitiveBlocksSigned");
     }
 
-    /**
-     * Tile-pool opt-in: RE keeps the default (pure) prepareFlushTile
-     * and attaches no memo client. Its one raster-phase call,
-     * shouldRenderTile, runs on the calling thread before the tiles
-     * render.
-     */
-    bool tileWorkersSafe() const override { return true; }
-
     bool
     shouldRenderTile(TileId tile) override
     {

@@ -48,15 +48,6 @@ class TransactionElimination : public PipelineHooks
         lutAccessesThisFrame = 0;
     }
 
-    /**
-     * Tile-pool opt-in: the color hash (the expensive part) is pure,
-     * so it runs on the worker that rendered the tile; the counted
-     * Signature Buffer traffic and energy charges stay in the serial
-     * merge phase below. No memo client, no raster-phase mutation
-     * outside shouldFlushTilePre.
-     */
-    bool tileWorkersSafe() const override { return true; }
-
     /** Phase-1 (worker-side, thread-safe): hash the tile's colors.
      *  CRC32 streamed straight over the Color Buffer's storage (no
      *  per-tile heap message, no staging copy). Color is four u8s

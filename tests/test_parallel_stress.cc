@@ -43,18 +43,24 @@ tinyJob(const char *alias, Technique tech, u64 seed, u64 frames = 2)
     return job;
 }
 
-/** Many small jobs spanning aliases, techniques and seeds. */
+/** Many small jobs spanning aliases, techniques and seeds. Alias and
+ *  technique form a Latin square: each aligned block of four jobs
+ *  covers every alias and every technique, and 16 jobs cover every
+ *  (alias, technique) pair once. */
 std::vector<SimJob>
 smallJobFlood(std::size_t count)
 {
     static const char *const aliases[] = {"ccs", "mst", "ctr", "abi"};
+    static const Technique techs[] = {
+        Technique::Baseline, Technique::RenderingElimination,
+        Technique::TransactionElimination, Technique::FragmentMemoization};
+    static_assert(std::size(aliases) == std::size(techs));
+    const std::size_t n = std::size(techs);
     std::vector<SimJob> jobs;
     jobs.reserve(count);
     for (std::size_t i = 0; i < count; i++) {
-        const char *alias = aliases[i % std::size(aliases)];
-        const Technique tech = (i / std::size(aliases)) % 2 == 0
-            ? Technique::Baseline
-            : Technique::RenderingElimination;
+        const char *alias = aliases[i % n];
+        const Technique tech = techs[(i + i / n) % n];
         jobs.push_back(
             tinyJob(alias, tech, deriveJobSeed(1, alias, i / 8)));
     }
@@ -286,12 +292,12 @@ TEST(TilePoolStress, BitIdenticalAcrossTileJobCounts)
 
 TEST(TilePoolStress, OuterSweepWorkersTimesInnerTileWorkers)
 {
-    // Both pools at once: the sweep-level ParallelRunner schedules
-    // cells on 4 workers while every cell rasterizes its tiles on 4
-    // more. Under TSan this is the densest thread population in the
-    // repo — 16+ simultaneous tile workers sharing nothing but the
-    // obs sink — and the results must still match the fully serial
-    // run slot for slot.
+    // Both pools at once, for all four techniques: the sweep-level
+    // ParallelRunner schedules cells on 4 workers while every cell
+    // rasterizes its tiles on 4 more. Under TSan this is the densest
+    // thread population in the repo — 16+ simultaneous tile workers
+    // sharing nothing but the obs sink — and the results must still
+    // match the fully serial run slot for slot.
     std::vector<SimJob> jobs = smallJobFlood(12);
     const std::vector<SimResult> seq = ParallelRunner(1).run(jobs);
 

@@ -195,7 +195,6 @@ TEST_F(PipeFixture, RenderDecisionIsOneCountedCallPerTile)
             return frame < 2 || tile % 3 != 1;
         }
 
-        bool tileWorkersSafe() const override { return true; }
         void
         frameBegin(u64 f, bool) override
         {
