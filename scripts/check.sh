@@ -36,7 +36,8 @@
 #    mutex-guarded structure) with -DREGPU_THREAD_SAFETY=ON, proving
 #    the lock discipline at compile time. Same loud-skip policy when
 #    clang++ is absent.
-#  - ASan+UBSan (-DREGPU_SANITIZE=address) re-runs the unit suites
+#  - ASan+UBSan (-DREGPU_SANITIZE=address, which adds
+#    float-cast-overflow to gcc's UBSan set) re-runs the unit suites
 #    and the two results-ledger tests (real scenes through suite_cli);
 #    TSan (-DREGPU_SANITIZE=thread) runs the ParallelRunner
 #    determinism + contention-stress suites plus the observability
@@ -47,6 +48,11 @@
 #    test_memo (per-thread memo LUTs on the pool) and
 #    test_pipeline_integration (the tile loop's hook calls) run there
 #    too.
+#  - fma (--fma) builds suite_cli and paper_figures with -mfma and
+#    re-runs both results-ledger tests and paper_figures_golden: the
+#    pinned -ffp-contract=off must keep every simulated number
+#    independent of -march. Same loud-skip policy when the CPU has no
+#    FMA (no "fma" flag in /proc/cpuinfo).
 #
 # Every run ends with a gate summary table: per gate, whether it ran,
 # was skipped (and why), failed, or was not part of the invoked flow.
@@ -54,7 +60,7 @@
 # Usage:
 #   scripts/check.sh             # full tier-1 (lint, analyze, bench,
 #                                # build, ctest, smokes, tidy, tsa,
-#                                # sanitize + tsan passes)
+#                                # sanitize + tsan + fma passes)
 #   scripts/check.sh --unit      # lint, analyze, bench, then
 #                                # configure + build + unit tests only
 #   scripts/check.sh --lint      # repo-invariant linter only
@@ -64,6 +70,8 @@
 #   scripts/check.sh --tsan      # TSan build + parallel suites only
 #   scripts/check.sh --sanitize  # ASan+UBSan build + unit and
 #                                # results-ledger tests only
+#   scripts/check.sh --fma       # -mfma build + results-ledger and
+#                                # paper-figures golden tests only
 #   scripts/check.sh --obs       # observability smoke: sweep with
 #                                # --obs-dir, validate the timeline
 #                                # JSON / per-frame JSONL / heatmap
@@ -79,6 +87,7 @@ BUILD_DIR=build
 SANITIZE_DIR=build-sanitize
 TSAN_DIR=build-tsan
 TSA_DIR=build-tsa
+FMA_DIR=build-fma
 
 # --- gate summary -----------------------------------------------------------
 #
@@ -87,7 +96,8 @@ TSA_DIR=build-tsa
 # aborts the script inside a failing pass, whatever gate is still
 # marked FAILED at EXIT is the one that sank the run. The table prints
 # from the EXIT trap, after tmpfile cleanup, success or not.
-GATE_ORDER=(lint analyze bench build ctest smokes obs tidy tsa asan tsan)
+GATE_ORDER=(lint analyze bench build ctest smokes obs tidy tsa asan tsan
+            fma)
 declare -A GATE_STATUS
 for g in "${GATE_ORDER[@]}"; do GATE_STATUS[$g]="not run"; done
 
@@ -258,6 +268,30 @@ run_sanitize_pass() {
     gate_end asan
 }
 
+run_fma_pass() {
+    gate_begin fma
+    echo "== FMA golden gate (-mfma) =="
+    if ! grep -qw fma /proc/cpuinfo 2> /dev/null; then
+        echo "#########################################################" >&2
+        echo "## WARNING: this CPU has no FMA — SKIPPING the -mfma   ##" >&2
+        echo "## golden gate. Run it on an FMA host to check that    ##" >&2
+        echo "## simulated numbers do not depend on -march.          ##" >&2
+        echo "#########################################################" >&2
+        gate_skip fma "no fma in /proc/cpuinfo"
+        return 0
+    fi
+
+    # gcc fuses a*b+c into an FMA wherever the target has one unless
+    # contraction is off; the top-level -ffp-contract=off must keep
+    # the ledger and the paper tables byte-identical under -mfma.
+    cmake -B "$FMA_DIR" -S . -DCMAKE_CXX_FLAGS=-mfma
+    cmake --build "$FMA_DIR" -j"$(nproc)" --target suite_cli paper_figures
+    (cd "$FMA_DIR" \
+         && ctest --output-on-failure -j2 --no-tests=error \
+                  -R '^(results_ledger_tile_jobs_(1|4)|paper_figures_golden)$')
+    gate_end fma
+}
+
 run_bench_pass() {
     gate_begin bench
     echo "== perfbench statistics self-test =="
@@ -368,6 +402,11 @@ case "${1:-}" in
     ;;
   --sanitize)
     run_sanitize_pass
+    echo "== OK =="
+    exit 0
+    ;;
+  --fma)
+    run_fma_pass
     echo "== OK =="
     exit 0
     ;;
@@ -485,6 +524,7 @@ if [[ "${1:-}" != "--unit" ]]; then
     run_tsa_pass
     run_sanitize_pass
     run_tsan_pass
+    run_fma_pass
 fi
 
 echo "== OK =="

@@ -91,11 +91,28 @@ struct Vec4
     }
 };
 
+/**
+ * Four float lanes in one SIMD register (GCC/Clang vector extension).
+ * Each operator performs, lane by lane, the IEEE operation the scalar
+ * Vec4 code performs on that component, so as long as an expression
+ * keeps the scalar code's operation order, its lanes equal the scalar
+ * results bit for bit (the build pins -ffp-contract=off, so neither
+ * side is fused into an FMA). A scalar operand is broadcast.
+ */
+using Lanes4 = float __attribute__((vector_size(16)));
+
+/** Integer lanes matching Lanes4, for __builtin_convertvector. */
+using I32Lanes4 = i32 __attribute__((vector_size(16)));
+
+inline Lanes4 toLanes(Vec4 v) { return Lanes4{v.x, v.y, v.z, v.w}; }
+inline Vec4 toVec4(Lanes4 l) { return {l[0], l[1], l[2], l[3]}; }
+
 /** Linear interpolation. */
 constexpr float lerp(float a, float b, float t) { return a + (b - a) * t; }
 constexpr Vec2 lerp(Vec2 a, Vec2 b, float t) { return a + (b - a) * t; }
 constexpr Vec3 lerp(Vec3 a, Vec3 b, float t) { return a + (b - a) * t; }
 constexpr Vec4 lerp(Vec4 a, Vec4 b, float t) { return a + (b - a) * t; }
+inline Lanes4 lerp(Lanes4 a, Lanes4 b, float t) { return a + (b - a) * t; }
 
 /** Clamp helper. */
 constexpr float

@@ -66,15 +66,23 @@ PolygonListBuilder::overlappedTiles(const Primitive &prim) const
     float minX, minY, maxX, maxY;
     prim.bounds(minX, minY, maxX, maxY);
 
-    // Clamp to the screen.
-    if (maxX < 0 || maxY < 0 || minX >= config.screenWidth
-        || minY >= config.screenHeight)
+    // Clamp to the screen, in float before converting: a far-off
+    // vertex (trace input, near-plane clipping's tiny w) would
+    // overflow the int conversion. Clamping to [0, screen size] leaves
+    // every on-screen tile range as it was. NaN bounds fail every
+    // comparison here and count as off screen.
+    if (!(maxX >= 0 && maxY >= 0 && minX < config.screenWidth
+          && minY < config.screenHeight))
         return tiles;
+    minX = std::max(minX, 0.0f);
+    minY = std::max(minY, 0.0f);
+    maxX = std::min(maxX, static_cast<float>(config.screenWidth));
+    maxY = std::min(maxY, static_cast<float>(config.screenHeight));
 
-    const i32 tx0 = std::max<i32>(0,
-        static_cast<i32>(std::floor(minX)) / static_cast<i32>(config.tileWidth));
-    const i32 ty0 = std::max<i32>(0,
-        static_cast<i32>(std::floor(minY)) / static_cast<i32>(config.tileHeight));
+    const i32 tx0 =
+        static_cast<i32>(std::floor(minX)) / static_cast<i32>(config.tileWidth);
+    const i32 ty0 =
+        static_cast<i32>(std::floor(minY)) / static_cast<i32>(config.tileHeight);
     const i32 tx1 = std::min<i32>(config.tilesX() - 1,
         static_cast<i32>(std::floor(maxX)) / static_cast<i32>(config.tileWidth));
     const i32 ty1 = std::min<i32>(config.tilesY() - 1,

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <type_traits>
 
 #include "common/types.hh"
 #include "common/vecmath.hh"
@@ -51,14 +52,34 @@ struct Color
         return {u8(v), u8(v >> 8), u8(v >> 16), u8(v >> 24)};
     }
 
-    /** Convert a float RGBA vector in [0,1] to packed 8-bit. */
+    /**
+     * Convert float RGBA lanes in [0,1] to packed 8-bit: per channel,
+     * clampf(f, 0, 1) * 255 + 0.5, truncated. The lanes run the scalar
+     * clamp's two compares (so NaN passes through it, as in clampf),
+     * then the same multiply and add; the truncating convert then
+     * equals the scalar float-to-u8 cast on the clamped range.
+     */
     static Color
-    fromVec4(Vec4 v)
+    fromLanes(Lanes4 v)
     {
-        auto q = [](float f) {
-            return static_cast<u8>(clampf(f, 0.0f, 1.0f) * 255.0f + 0.5f);
-        };
-        return {q(v.x), q(v.y), q(v.z), q(v.w)};
+        const Lanes4 zero{};
+        const Lanes4 one = zero + 1.0f;
+        v = v < zero ? zero : (v > one ? one : v);
+        const I32Lanes4 q = __builtin_convertvector(v * 255.0f + 0.5f,
+                                                    I32Lanes4);
+        return {static_cast<u8>(q[0]), static_cast<u8>(q[1]),
+                static_cast<u8>(q[2]), static_cast<u8>(q[3])};
+    }
+
+    /** Convert a float RGBA vector in [0,1] to packed 8-bit. */
+    static Color fromVec4(Vec4 v) { return fromLanes(regpu::toLanes(v)); }
+
+    /** Convert back to float RGBA lanes in [0,1]. */
+    Lanes4
+    toLanes() const
+    {
+        return Lanes4{unorm8ToFloat[r], unorm8ToFloat[g], unorm8ToFloat[b],
+                      unorm8ToFloat[a]};
     }
 
     /** Convert back to float RGBA in [0,1]. */
@@ -69,6 +90,11 @@ struct Color
                 unorm8ToFloat[a]};
     }
 };
+
+// Four bytes, no padding: comparing colors with memcmp is comparing
+// them with operator== (FrameBuffer's tile compares rely on it).
+static_assert(sizeof(Color) == 4
+              && std::has_unique_object_representations_v<Color>);
 
 /** Blend modes supported by the Blend unit. */
 enum class BlendMode

@@ -1,5 +1,7 @@
 #include "gpu/framebuffer.hh"
 
+#include <cstring>
+
 namespace regpu
 {
 
@@ -31,8 +33,8 @@ FrameBuffer::tileEquals(TileId tile, const std::vector<Color> &colors) const
 {
     const auto &surf = surfaces[back];
     return forEachTileRow(tile, [&](std::size_t s, std::size_t t, u32 w) {
-        return std::equal(colors.data() + t, colors.data() + t + w,
-                          surf.data() + s);
+        return std::memcmp(colors.data() + t, surf.data() + s,
+                           w * sizeof(Color)) == 0;
     });
 }
 
@@ -42,7 +44,7 @@ FrameBuffer::surfacesEqual(TileId tile) const
     const Color *a = surfaces[0].data();
     const Color *b = surfaces[1].data();
     return forEachTileRow(tile, [&](std::size_t s, std::size_t, u32 w) {
-        return std::equal(a + s, a + s + w, b + s);
+        return std::memcmp(a + s, b + s, w * sizeof(Color)) == 0;
     });
 }
 

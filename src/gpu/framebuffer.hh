@@ -89,7 +89,8 @@ class FrameBuffer
     std::vector<Color> readTile(TileId tile) const;
 
     /** Compare a rendered tile against the back buffer's current
-     *  content (ground truth for redundancy classification). */
+     *  content (ground truth for redundancy classification), one
+     *  memcmp per on-screen row. */
     bool tileEquals(TileId tile, const std::vector<Color> &colors) const;
 
     /** Whether the front and back surfaces hold the same on-screen

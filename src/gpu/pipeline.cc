@@ -11,6 +11,74 @@
 namespace regpu
 {
 
+namespace
+{
+
+/**
+ * One frame's raster counters: every merged tile's TileRenderStats and
+ * outcome, summed in the merge and charged once per frame.
+ */
+struct RasterTotals
+{
+    u64 fragmentsGenerated = 0;
+    u64 fragmentsEarlyZKilled = 0;
+    u64 fragmentsShaded = 0;
+    u64 fragmentsMemoReused = 0;
+    u64 shaderInstructions = 0;
+    u64 texelFetches = 0;
+    u64 blendOps = 0;
+    u64 primitivesFetched = 0;
+    u64 tilesRendered = 0;
+    u64 tilesFlushed = 0;
+    u64 tileFlushesEliminated = 0;
+    u64 tilesEliminated = 0;
+    u64 falsePositives = 0;
+
+    void
+    addRendered(const TileRenderStats &ts)
+    {
+        fragmentsGenerated += ts.fragmentsGenerated;
+        fragmentsEarlyZKilled += ts.fragmentsEarlyZKilled;
+        fragmentsShaded += ts.fragmentsShaded;
+        fragmentsMemoReused += ts.fragmentsMemoReused;
+        shaderInstructions += ts.shaderInstructions;
+        texelFetches += ts.texelFetches;
+        blendOps += ts.blendOps;
+        primitivesFetched += ts.primitivesFetched;
+        tilesRendered++;
+    }
+
+    /** Charge each counter that a per-tile charge would have created:
+     *  the per-fragment ones when any tile rendered, each tile count
+     *  when it is non-zero. The registry's key set is then the one
+     *  per-tile charges leave. */
+    void
+    charge(StatRegistry &stats) const
+    {
+        if (tilesRendered) {
+            stats.inc("raster.fragmentsGenerated", fragmentsGenerated);
+            stats.inc("raster.fragmentsEarlyZKilled", fragmentsEarlyZKilled);
+            stats.inc("raster.fragmentsShaded", fragmentsShaded);
+            stats.inc("raster.fragmentsMemoReused", fragmentsMemoReused);
+            stats.inc("raster.shaderInstructions", shaderInstructions);
+            stats.inc("raster.texelFetches", texelFetches);
+            stats.inc("raster.blendOps", blendOps);
+            stats.inc("raster.primitivesFetched", primitivesFetched);
+            stats.inc("raster.tilesRendered", tilesRendered);
+        }
+        if (tilesFlushed)
+            stats.inc("raster.tilesFlushed", tilesFlushed);
+        if (tileFlushesEliminated)
+            stats.inc("raster.tileFlushesEliminated", tileFlushesEliminated);
+        if (tilesEliminated)
+            stats.inc("raster.tilesEliminated", tilesEliminated);
+        if (falsePositives)
+            stats.inc("re.falsePositives", falsePositives);
+    }
+};
+
+} // namespace
+
 GraphicsPipeline::GraphicsPipeline(const GpuConfig &_config,
                                    StatRegistry &_stats, MemTraceSink *_mem,
                                    const std::vector<Texture> &_textures)
@@ -95,7 +163,9 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
     // MemSystem and reuses one task slot so the color vector's capacity
     // survives across tiles. Both produce the per-tile stream [render
     // traffic][flush], which keeps output bit-identical across
-    // --tile-jobs values.
+    // --tile-jobs values. The merge sums each tile's counts into the
+    // frame's RasterTotals, which reach the StatRegistry once, after
+    // the last merge.
     const u32 numTiles = config.numTiles();
     result.tiles.resize(numTiles);
     FragmentMemoClient *memo = hooks ? hooks->memoClient() : nullptr;
@@ -155,6 +225,7 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
             }
         };
 
+        RasterTotals totals;
         auto merge = [&](TileId tile) {
             TileTask &task = taskFor(tile);
             TileOutcome &out = result.tiles[tile];
@@ -164,18 +235,8 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                 // the worker.
                 if (!direct && mem)
                     task.memEvents.replay(*mem);
-                const TileRenderStats &ts = task.renderStats;
-                stats.inc("raster.fragmentsGenerated", ts.fragmentsGenerated);
-                stats.inc("raster.fragmentsEarlyZKilled",
-                          ts.fragmentsEarlyZKilled);
-                stats.inc("raster.fragmentsShaded", ts.fragmentsShaded);
-                stats.inc("raster.fragmentsMemoReused",
-                          ts.fragmentsMemoReused);
-                stats.inc("raster.shaderInstructions", ts.shaderInstructions);
-                stats.inc("raster.texelFetches", ts.texelFetches);
-                stats.inc("raster.blendOps", ts.blendOps);
-                stats.inc("raster.primitivesFetched", ts.primitivesFetched);
-                out.stats = ts;
+                out.stats = task.renderStats;
+                totals.addRendered(out.stats);
                 out.equalColors = task.equalColors;
 
                 const bool flush = !hooks
@@ -187,25 +248,28 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                     if (mem)
                         mem->colorFlush(fb.tileAddr(tile),
                                         fb.tileBytes(tile));
-                    stats.inc("raster.tilesFlushed");
+                    totals.tilesFlushed++;
                 } else {
-                    stats.inc("raster.tileFlushesEliminated");
+                    totals.tileFlushesEliminated++;
                 }
-                stats.inc("raster.tilesRendered");
             } else {
                 // Rendering Elimination bypass: the Back Buffer
                 // already holds the (believed-identical) colors.
                 out.flushed = false;
-                stats.inc("raster.tilesEliminated");
+                totals.tilesEliminated++;
                 if (groundTruth) {
                     out.equalColors = task.equalColors;
                     if (!out.equalColors)
-                        stats.inc("re.falsePositives");
+                        totals.falsePositives++;
                 }
             }
         };
 
         runOrdered(numTiles, tileJobs, phase1, merge, "tileWorker");
+        // Once per frame, after the last merge and before frameEnd():
+        // Fragment Memoization's frameEnd reads this frame's raster.*
+        // deltas.
+        totals.charge(stats);
     }
 
     if (hooks)

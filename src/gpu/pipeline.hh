@@ -77,7 +77,7 @@ class PipelineHooks
     //
     // Every frame's tiles go through one raster loop: the render
     // decisions above, then phase 1 renders a tile into private state,
-    // and a merge in strict tile order charges and flushes it. Both
+    // and a merge in strict tile order counts and flushes it. Both
     // schedules hand prepareFlushTile's phase-1 value to
     // shouldFlushTilePre in the merge. For every technique, phase 1
     // runs on --tile-jobs pool workers, or inline before each merge

@@ -14,11 +14,24 @@ namespace regpu
 namespace
 {
 
-/** Edge function: twice the signed area of (a, b, p). */
-inline float
-edge(float ax, float ay, float bx, float by, float px, float py)
+/**
+ * The calling thread's raster scratch, reused by every tile the thread
+ * renders, so a steady-state renderTile allocates nothing. A thread
+ * renders one tile at a time (the tile pool's contract), so nothing
+ * else touches it meanwhile.
+ */
+struct RasterScratch
 {
-    return (bx - ax) * (py - ay) - (by - ay) * (px - ax);
+    std::vector<float> depth;  //!< the tile's Depth Buffer
+    std::vector<float> colW0;  //!< per-column products of edge w0
+    std::vector<float> colW1;  //!< per-column products of edge w1
+};
+
+RasterScratch &
+rasterScratch()
+{
+    thread_local RasterScratch scratch;
+    return scratch;
 }
 
 } // namespace
@@ -84,9 +97,14 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
     const u32 tx0 = (tile % config.tilesX()) * tw;
     const u32 ty0 = (tile / config.tilesX()) * th;
 
-    // On-chip Color and Depth buffers, cleared at tile start.
+    // On-chip Color Buffer, cleared at tile start. The Depth Buffer is
+    // cleared at the tile's first depth-tested primitive: a tile
+    // without one never reads it.
     outColors.assign(static_cast<std::size_t>(tw) * th, clearColor);
-    std::vector<float> depth(static_cast<std::size_t>(tw) * th, 1.0f);
+    RasterScratch &scratch = rasterScratch();
+    float *depth = nullptr;
+    scratch.colW0.resize(tw);
+    scratch.colW1.resize(tw);
 
     if (memo)
         memo->tileBegin(tile);
@@ -94,9 +112,9 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
     for (const PrimRef &ref : frame.tileLists[tile]) {
         const Primitive &prim = frame.primitives[ref.primIndex];
         const DrawCall &draw = draws[prim.drawIndex];
+        const ShaderKind kind = draw.state.shader;
         const Texture *tex = nullptr;
-        if (shaderSamplesTexture(draw.state.shader)
-            && draw.state.textureId >= 0) {
+        if (shaderSamplesTexture(kind) && draw.state.textureId >= 0) {
             REGPU_ASSERT(static_cast<u32>(draw.state.textureId)
                          < textures.size(), "texture id out of range");
             tex = &textures[draw.state.textureId];
@@ -119,22 +137,64 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
         float invArea = 1.0f / area2;
 
         // Restrict to the intersection of the bbox and this tile.
+        // Clamping in float first keeps a far-off vertex (trace input,
+        // near-plane clipping's tiny w) from overflowing the int
+        // conversion; a bbox that misses the tile covers no pixel.
         float minX, minY, maxX, maxY;
         prim.bounds(minX, minY, maxX, maxY);
-        u32 px0 = std::max<i32>(tx0, static_cast<i32>(std::floor(minX)));
-        u32 py0 = std::max<i32>(ty0, static_cast<i32>(std::floor(minY)));
-        u32 px1 = std::min<i32>(tx0 + tw - 1,
-                                static_cast<i32>(std::ceil(maxX)));
-        u32 py1 = std::min<i32>(ty0 + th - 1,
-                                static_cast<i32>(std::ceil(maxY)));
+        const float fx0 = std::max(std::floor(minX), static_cast<float>(tx0));
+        const float fy0 = std::max(std::floor(minY), static_cast<float>(ty0));
+        const float fx1 = std::min(std::ceil(maxX),
+                                   static_cast<float>(tx0 + tw - 1));
+        const float fy1 = std::min(std::ceil(maxY),
+                                   static_cast<float>(ty0 + th - 1));
+        if (!(fx0 <= fx1 && fy0 <= fy1))
+            continue;
+        const u32 px0 = static_cast<u32>(fx0);
+        const u32 py0 = static_cast<u32>(fy0);
+        const u32 px1 = static_cast<u32>(fx1);
+        const u32 py1 = static_cast<u32>(fy1);
+
+        // Per-primitive pipeline state. The shader reads exactly the
+        // varyings fragmentSignature hashes; only those are
+        // interpolated, and z only under a depth test.
+        const BlendMode blendMode = draw.state.blendMode;
+        const u32 instructions = fragmentShaderInstructions(kind);
+        const bool depthTest = draw.state.depthTest;
+        const bool depthWrite = depthTest && draw.state.depthWrite;
+        const bool readsColor = kind == ShaderKind::VertexColor
+            || kind == ShaderKind::TexModulate;
+        const bool readsUv = shaderSamplesTexture(kind);
+        const bool readsDiffuse = kind == ShaderKind::TexLit;
+        const bool readsVaryings = readsColor || readsUv || readsDiffuse;
+        const Lanes4 tint = toLanes(draw.state.uniforms.tint);
+        const Lanes4 colorA = toLanes(a.color);
+        const Lanes4 colorB = toLanes(b.color);
+        const Lanes4 colorC = toLanes(c.color);
+
+        if (depthTest && !depth) {
+            scratch.depth.assign(static_cast<std::size_t>(tw) * th, 1.0f);
+            depth = scratch.depth.data();
+        }
+
+        // Each edge function (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        // splits into a per-row and a per-column product: the same two
+        // products and the same subtraction, so the same bits.
+        float *colW0 = scratch.colW0.data();
+        float *colW1 = scratch.colW1.data();
+        for (u32 px = px0; px <= px1; px++) {
+            const float sx = px + 0.5f;  // sample at the pixel centre
+            colW0[px - px0] = (c.y - b.y) * (sx - b.x);
+            colW1[px - px0] = (a.y - c.y) * (sx - c.x);
+        }
 
         for (u32 py = py0; py <= py1; py++) {
+            const float sy = py + 0.5f;
+            const float rowW0 = (c.x - b.x) * (sy - b.y);
+            const float rowW1 = (a.x - c.x) * (sy - c.y);
             for (u32 px = px0; px <= px1; px++) {
-                // Sample at the pixel centre.
-                float sx = px + 0.5f;
-                float sy = py + 0.5f;
-                float w0 = edge(b.x, b.y, c.x, c.y, sx, sy) * invArea;
-                float w1 = edge(c.x, c.y, a.x, a.y, sx, sy) * invArea;
+                float w0 = (rowW0 - colW0[px - px0]) * invArea;
+                float w1 = (rowW1 - colW1[px - px0]) * invArea;
                 float w2 = 1.0f - w0 - w1;
                 // Top-left-agnostic inclusive test: consistent for
                 // shared edges because weights are exact complements.
@@ -142,59 +202,66 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
                     continue;
 
                 ts.fragmentsGenerated++;
-
-                // Interpolate depth (affine: z is already projected).
-                float z = w0 * a.z + w1 * b.z + w2 * c.z;
                 const std::size_t idx =
                     static_cast<std::size_t>(py - ty0) * tw + (px - tx0);
 
-                // Early Depth Test.
-                if (draw.state.depthTest && z > depth[idx]) {
-                    ts.fragmentsEarlyZKilled++;
-                    continue;
+                // Early Depth Test on the interpolated depth (affine:
+                // z is already projected).
+                if (depthTest) {
+                    float z = w0 * a.z + w1 * b.z + w2 * c.z;
+                    if (z > depth[idx]) {
+                        ts.fragmentsEarlyZKilled++;
+                        continue;
+                    }
+                    if (depthWrite)
+                        depth[idx] = z;
                 }
-                if (draw.state.depthTest && draw.state.depthWrite)
-                    depth[idx] = z;
 
                 // Perspective-correct varying interpolation.
-                float iw = w0 * a.invW + w1 * b.invW + w2 * c.invW;
-                float pc0 = w0 * a.invW / iw;
-                float pc1 = w1 * b.invW / iw;
-                float pc2 = 1.0f - pc0 - pc1;
-                Vec4 vcolor = a.color * pc0 + b.color * pc1
-                    + c.color * pc2;
-                Vec2 uv = a.texcoord * pc0 + b.texcoord * pc1
-                    + c.texcoord * pc2;
-                float diffuse = a.diffuse * pc0 + b.diffuse * pc1
-                    + c.diffuse * pc2;
+                Lanes4 vcolor{};
+                Vec2 uv;
+                float diffuse = 0;
+                if (readsVaryings) {
+                    float iw = w0 * a.invW + w1 * b.invW + w2 * c.invW;
+                    float pc0 = w0 * a.invW / iw;
+                    float pc1 = w1 * b.invW / iw;
+                    float pc2 = 1.0f - pc0 - pc1;
+                    if (readsColor)
+                        vcolor = colorA * pc0 + colorB * pc1 + colorC * pc2;
+                    if (readsUv)
+                        uv = a.texcoord * pc0 + b.texcoord * pc1
+                            + c.texcoord * pc2;
+                    if (readsDiffuse)
+                        diffuse = a.diffuse * pc0 + b.diffuse * pc1
+                            + c.diffuse * pc2;
+                }
 
                 // Fragment Memoization hook: reuse before shading.
                 Color src;
                 u32 sig = 0;
                 if (memo) {
-                    sig = fragmentSignature(draw, vcolor, uv, diffuse);
+                    sig = fragmentSignature(draw, toVec4(vcolor), uv,
+                                            diffuse);
                     Color reused;
                     if (memo->lookup(sig, reused)) {
                         ts.fragmentsMemoReused++;
                         src = reused;
                         outColors[idx] =
-                            blend(draw.state.blendMode, src,
-                                  outColors[idx]);
+                            blend(blendMode, src, outColors[idx]);
                         ts.blendOps++;
                         continue;
                     }
                 }
 
-                // Fragment Processor: execute the shader.
-                const UniformSet &u = draw.state.uniforms;
-                Vec4 fcolor;
-                switch (draw.state.shader) {
+                // Fragment Processor: execute the shader, one lane per
+                // channel, in the scalar code's operation order.
+                Lanes4 fcolor{};
+                switch (kind) {
                   case ShaderKind::Flat:
-                    fcolor = u.tint;
+                    fcolor = tint;
                     break;
                   case ShaderKind::VertexColor:
-                    fcolor = {vcolor.x * u.tint.x, vcolor.y * u.tint.y,
-                              vcolor.z * u.tint.z, vcolor.w * u.tint.w};
+                    fcolor = vcolor * tint;
                     break;
                   case ShaderKind::Textured:
                   case ShaderKind::TexModulate:
@@ -211,36 +278,28 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
                         mem->texelFetches(cacheIdx, touched.addrs());
                     }
                     ts.texelFetches += touched.count;
-                    Vec4 t4 = texel.toVec4();
-                    if (draw.state.shader == ShaderKind::Textured) {
-                        fcolor = {t4.x * u.tint.x, t4.y * u.tint.y,
-                                  t4.z * u.tint.z, t4.w * u.tint.w};
-                    } else if (draw.state.shader
-                               == ShaderKind::TexModulate) {
-                        fcolor = {t4.x * vcolor.x * u.tint.x,
-                                  t4.y * vcolor.y * u.tint.y,
-                                  t4.z * vcolor.z * u.tint.z,
-                                  t4.w * vcolor.w * u.tint.w};
+                    const Lanes4 t4 = texel.toLanes();
+                    if (kind == ShaderKind::Textured) {
+                        fcolor = t4 * tint;
+                    } else if (kind == ShaderKind::TexModulate) {
+                        fcolor = t4 * vcolor * tint;
                     } else {
-                        fcolor = {t4.x * diffuse * u.tint.x,
-                                  t4.y * diffuse * u.tint.y,
-                                  t4.z * diffuse * u.tint.z,
-                                  t4.w * u.tint.w};
+                        // Lighting leaves alpha alone.
+                        fcolor = t4 * diffuse * tint;
+                        fcolor[3] = t4[3] * tint[3];
                     }
                     break;
                   }
                 }
-                src = Color::fromVec4(fcolor);
+                src = Color::fromLanes(fcolor);
                 ts.fragmentsShaded++;
-                ts.shaderInstructions +=
-                    fragmentShaderInstructions(draw.state.shader);
+                ts.shaderInstructions += instructions;
 
                 if (memo)
                     memo->insert(sig, src);
 
                 // Blend unit.
-                outColors[idx] =
-                    blend(draw.state.blendMode, src, outColors[idx]);
+                outColors[idx] = blend(blendMode, src, outColors[idx]);
                 ts.blendOps++;
             }
         }

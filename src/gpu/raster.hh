@@ -72,6 +72,16 @@ struct TileRenderStats
  * Renders one tile: the functional model of everything between the
  * Tile Scheduler and the Tile Flush. Charges no statistics itself: the
  * caller folds the returned TileRenderStats.
+ *
+ * The hot path does per primitive what does not change per fragment:
+ * the shader kind, blend mode and instruction count, the varyings the
+ * shader reads (only those are interpolated, and z only under a depth
+ * test), and each edge function's per-column products. Its float work
+ * follows the contract in docs/ARCHITECTURE.md ("The raster kernel's
+ * float contract"), so it matches tests/reference_raster.hh, the naive
+ * per-pixel form, bit for bit. The Depth Buffer is per-thread scratch,
+ * cleared at the tile's first depth-tested primitive, so a warm
+ * renderTile allocates nothing.
  */
 class TileRenderer
 {

@@ -1,7 +1,5 @@
 #include "gpu/texture.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace regpu
@@ -115,27 +113,6 @@ Texture::Texture(u32 id, u32 w, u32 h, TexturePattern pattern, u64 seed)
             texels[static_cast<std::size_t>(y) * w + x] = out;
         }
     }
-}
-
-Color
-Sampler::sample(const Texture &tex, float s, float t,
-                TexelFootprint *touched)
-{
-    float u = s * tex.width() - 0.5f;
-    float v = t * tex.height() - 0.5f;
-    i32 u0 = static_cast<i32>(std::floor(u));
-    i32 v0 = static_cast<i32>(std::floor(v));
-    float fu = u - u0, fv = v - v0;
-    if (touched)
-        *touched = {{tex.texelAddr(u0, v0), tex.texelAddr(u0 + 1, v0),
-                     tex.texelAddr(u0, v0 + 1),
-                     tex.texelAddr(u0 + 1, v0 + 1)},
-                    4};
-    Vec4 a = lerp(tex.texel(u0, v0).toVec4(),
-                  tex.texel(u0 + 1, v0).toVec4(), fu);
-    Vec4 b = lerp(tex.texel(u0, v0 + 1).toVec4(),
-                  tex.texel(u0 + 1, v0 + 1).toVec4(), fu);
-    return Color::fromVec4(lerp(a, b, fv));
 }
 
 } // namespace regpu

@@ -117,18 +117,55 @@ struct TexelFootprint
 /**
  * Bilinear sampler. Also reports the texel addresses it touched so
  * the caller can drive the texture-cache model.
+ *
+ * Inline: it runs once per textured fragment inside the raster loop.
+ * Its float work is bit-identical to the scalar reference of std::floor
+ * texel coordinates and Vec4 lerps (tests/reference_raster.hh keeps
+ * that reference): the floor is truncate-and-adjust and the lerps run
+ * on four lanes, each doing the scalar component's operations in
+ * order.
  */
 class Sampler
 {
   public:
     /**
      * Sample @p tex at normalized coordinates (s, t) with wrapping.
+     * Texel coordinates must lie in the i32 range, as for any
+     * float-to-int conversion.
      * @param touched if non-null, overwritten with the texel addresses
      *                read
      * @return filtered color
      */
-    static Color sample(const Texture &tex, float s, float t,
-                        TexelFootprint *touched);
+    static Color
+    sample(const Texture &tex, float s, float t, TexelFootprint *touched)
+    {
+        const float u = s * tex.width() - 0.5f;
+        const float v = t * tex.height() - 0.5f;
+        const i32 u0 = floorToI32(u);
+        const i32 v0 = floorToI32(v);
+        const float fu = u - u0, fv = v - v0;
+        if (touched)
+            *touched = {{tex.texelAddr(u0, v0), tex.texelAddr(u0 + 1, v0),
+                         tex.texelAddr(u0, v0 + 1),
+                         tex.texelAddr(u0 + 1, v0 + 1)},
+                        4};
+        const Lanes4 a = lerp(tex.texel(u0, v0).toLanes(),
+                              tex.texel(u0 + 1, v0).toLanes(), fu);
+        const Lanes4 b = lerp(tex.texel(u0, v0 + 1).toLanes(),
+                              tex.texel(u0 + 1, v0 + 1).toLanes(), fu);
+        return Color::fromLanes(lerp(a, b, fv));
+    }
+
+  private:
+    /** static_cast<i32>(std::floor(f)) without the libm call: the
+     *  cast truncates, which rounds a negative non-integer up, so step
+     *  those down by one. Exact wherever the cast is defined. */
+    static i32
+    floorToI32(float f)
+    {
+        const i32 i = static_cast<i32>(f);
+        return static_cast<float>(i) > f ? i - 1 : i;
+    }
 };
 
 } // namespace regpu

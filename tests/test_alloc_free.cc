@@ -4,8 +4,8 @@
  * this binary replaces the global operator new/delete with counting
  * wrappers and asserts that the signature hot paths - CRC streaming,
  * the pluggable HashStream, the stack-buffer serializers, the fragment
- * signature and the RE/TE per-tile hooks - perform zero heap
- * allocations at steady state.
+ * signature, the RE/TE per-tile hooks and the tile renderer - perform
+ * zero heap allocations at steady state.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 
 #include "common/stats.hh"
 #include "crc/hashes.hh"
+#include "gpu/binning.hh"
 #include "gpu/raster.hh"
 #include "re/rendering_elimination.hh"
 #include "te/transaction_elimination.hh"
@@ -145,6 +146,43 @@ TEST(AllocFree, FragmentSignature)
         draw, Vec4{1, 1, 1, 1}, Vec2{0.25f, 0.75f}, 1.0f);
     EXPECT_EQ(probe.count(), 0u);
     EXPECT_NE(sig, 0u);
+}
+
+TEST(AllocFree, RenderTileSteadyState)
+{
+    // The Depth Buffer and the edge-function rows are per-thread
+    // scratch and the color vector keeps its capacity, so once warm a
+    // tile renders without touching the heap.
+    GpuConfig config;
+    config.scaleResolution(64, 64);
+    std::vector<Texture> textures;
+    textures.emplace_back(0, 32, 32, TexturePattern::Checker, 3);
+    std::vector<DrawCall> draws(2, makeDraw());
+    draws[1].state.shader = ShaderKind::Flat;
+    draws[1].state.depthTest = false;
+    BinnedFrame frame;
+    frame.tileLists.assign(config.numTiles(), {});
+    for (u32 d = 0; d < 2; d++) {
+        Primitive p;
+        p.v[0].x = 1; p.v[0].y = 1;
+        p.v[1].x = 15; p.v[1].y = 2;
+        p.v[2].x = 3; p.v[2].y = 14;
+        for (ShadedVertex &v : p.v)
+            v.texcoord = {v.x / 16, v.y / 16};
+        p.drawIndex = d;
+        frame.primitives.push_back(p);
+        frame.tileLists[0].push_back({d, 0x200000000ull, 64});
+    }
+    TileRenderer renderer(config, nullptr, textures);
+    std::vector<Color> colors;
+    renderer.renderTile(0, frame, draws, Color(0, 0, 0), colors);
+
+    AllocProbe probe;
+    TileRenderStats ts =
+        renderer.renderTile(0, frame, draws, Color(0, 0, 0), colors);
+    EXPECT_EQ(probe.count(), 0u);
+    EXPECT_GT(ts.fragmentsShaded, 0u);
+    EXPECT_GT(ts.texelFetches, 0u);
 }
 
 TEST(AllocFree, TransactionEliminationTileHashSteadyState)

@@ -49,6 +49,18 @@ struct BinFixture : ::testing::Test
 
 } // namespace
 
+TEST_F(BinFixture, FarOffVertexBinsLikeANearerOne)
+{
+    // x = 3e10 is outside the int range: the bounds are clamped to the
+    // screen in float before converting, so the triangle lists the
+    // same tiles as with x = 1e9 (every tile in rows 0-2).
+    config.scaleResolution(64, 64);
+    const auto near = overlap(screenTriangle(8, 8, 1e9f, 8, 8, 40));
+    const auto far = overlap(screenTriangle(8, 8, 3e10f, 8, 8, 40));
+    EXPECT_EQ(near.size(), 12u);
+    EXPECT_EQ(far, near);
+}
+
 TEST_F(BinFixture, SmallTriangleHitsOneTile)
 {
     Primitive p = screenTriangle(2, 2, 10, 2, 2, 10);

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
+#include <limits>
+#include <vector>
 
 #include "gpu/color.hh"
 
@@ -27,6 +30,35 @@ TEST(Color, FromVec4ClampsAndRounds)
 {
     EXPECT_EQ(Color::fromVec4({2.0f, -1.0f, 0.5f, 1.0f}),
               Color(255, 0, 128, 255));
+}
+
+TEST(Color, FromVec4LanesMatchScalarClampAndRound)
+{
+    // The lane pack against the scalar clamp, scale, round and cast,
+    // around every rounding boundary (k + 0.5) / 255 and the clamp's
+    // edges.
+    auto scalar = [](float f) {
+        return static_cast<u8>(clampf(f, 0.0f, 1.0f) * 255.0f + 0.5f);
+    };
+    std::vector<float> values = {-0.0f, 0.0f, 1e-40f, -1e-40f, 1.0f,
+                                 -1.0f, 2.0f, 1e30f, -1e30f,
+                                 std::numeric_limits<float>::infinity(),
+                                 -std::numeric_limits<float>::infinity()};
+    for (int k = -1; k <= 256; k++) {
+        for (float f : {k / 255.0f, (k + 0.5f) / 255.0f}) {
+            values.push_back(f);
+            values.push_back(std::nextafter(f, -2.0f));
+            values.push_back(std::nextafter(f, 2.0f));
+        }
+    }
+    for (std::size_t i = 0; i + 3 < values.size(); i++) {
+        const Vec4 v{values[i], values[i + 1], values[i + 2],
+                     values[i + 3]};
+        const Color want(scalar(v.x), scalar(v.y), scalar(v.z),
+                         scalar(v.w));
+        EXPECT_EQ(Color::fromVec4(v).packed(), want.packed())
+            << v.x << " " << v.y << " " << v.z << " " << v.w;
+    }
 }
 
 TEST(Color, ToVec4RoundTripWithinQuantum)

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -298,4 +299,98 @@ TEST_F(PipeFixture, GroundTruthShadowRenderDetectsWrongSkips)
         anyWrong |= !t.rendered && !t.equalColors;
     EXPECT_TRUE(anyWrong);
     EXPECT_GT(stats.counter("re.falsePositives"), 0u);
+}
+
+TEST_F(PipeFixture, RasterCountersAreEachFramesTileSums)
+{
+    // The merge sums each tile's stats and outcome; renderFrame charges
+    // the sums once per frame. Every outcome occurs: rendered and
+    // flushed, rendered with the flush elided, eliminated, and
+    // eliminated although its colors changed (a false positive).
+    u32 tex = scene->addTexture(
+        Texture(0, 64, 64, TexturePattern::Checker, 5));
+    SceneObject mover;
+    mover.name = "mover";
+    mover.mesh = makeQuad(24, 24, 0.5f);
+    mover.shader = ShaderKind::Textured;
+    mover.textureId = static_cast<i32>(tex);
+    mover.animate = [](u64 frame) {
+        Pose p;
+        p.position = {30.0f + 6.0f * frame, 30, 0.2f};
+        return p;
+    };
+    scene->addObject(std::move(mover));
+
+    struct SkipAndElide : PipelineHooks
+    {
+        u64 frame = 0;
+        void frameBegin(u64 f, bool) override { frame = f; }
+        bool shouldRenderTile(TileId tile) override
+        { return frame == 0 || tile % 3 != 1; }
+        bool shouldFlushTile(TileId tile, const std::vector<Color> &) override
+        { return tile % 4 != 0; }
+    };
+
+    const std::vector<std::string> keys = {
+        "raster.fragmentsGenerated", "raster.fragmentsEarlyZKilled",
+        "raster.fragmentsShaded", "raster.fragmentsMemoReused",
+        "raster.shaderInstructions", "raster.texelFetches",
+        "raster.blendOps", "raster.primitivesFetched",
+        "raster.tilesRendered", "raster.tilesFlushed",
+        "raster.tileFlushesEliminated", "raster.tilesEliminated",
+        "re.falsePositives"};
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("tile-jobs " + std::to_string(jobs));
+        StatRegistry reg;
+        SkipAndElide hooks;
+        GraphicsPipeline pipe(config, reg, nullptr, scene->textures());
+        pipe.setHooks(&hooks);
+        pipe.setTileJobs(jobs);
+        for (u64 f = 0; f < 4; f++) {
+            SCOPED_TRACE("frame " + std::to_string(f));
+            std::map<std::string, u64> before;
+            for (const std::string &k : keys)
+                before[k] = reg.counter(k);
+            const FrameResult r = pipe.renderFrame(scene->emitFrame(f));
+
+            std::map<std::string, u64> sums;
+            for (const TileOutcome &t : r.tiles) {
+                const TileRenderStats &ts = t.stats;
+                sums["raster.fragmentsGenerated"] += ts.fragmentsGenerated;
+                sums["raster.fragmentsEarlyZKilled"] +=
+                    ts.fragmentsEarlyZKilled;
+                sums["raster.fragmentsShaded"] += ts.fragmentsShaded;
+                sums["raster.fragmentsMemoReused"] += ts.fragmentsMemoReused;
+                sums["raster.shaderInstructions"] += ts.shaderInstructions;
+                sums["raster.texelFetches"] += ts.texelFetches;
+                sums["raster.blendOps"] += ts.blendOps;
+                sums["raster.primitivesFetched"] += ts.primitivesFetched;
+                sums["raster.tilesRendered"] += t.rendered;
+                sums["raster.tilesFlushed"] += t.rendered && t.flushed;
+                sums["raster.tileFlushesEliminated"] +=
+                    t.rendered && !t.flushed;
+                sums["raster.tilesEliminated"] += !t.rendered;
+                sums["re.falsePositives"] += !t.rendered && !t.equalColors;
+            }
+            for (const std::string &k : keys)
+                EXPECT_EQ(reg.counter(k) - before[k], sums[k]) << k;
+        }
+        for (const char *outcome :
+             {"raster.tilesFlushed", "raster.tileFlushesEliminated",
+              "raster.tilesEliminated", "re.falsePositives"})
+            EXPECT_GT(reg.counter(outcome), 0u) << outcome;
+    }
+
+    // Baseline never eliminates a tile or a flush: those keys must not
+    // exist, as they never did with per-tile charges.
+    StatRegistry baseline;
+    GraphicsPipeline pipe(config, baseline, nullptr, scene->textures());
+    for (u64 f = 0; f < 3; f++)
+        pipe.renderFrame(scene->emitFrame(f));
+    const auto &counters = baseline.allCounters();
+    EXPECT_TRUE(counters.contains("raster.tilesRendered"));
+    EXPECT_TRUE(counters.contains("raster.tilesFlushed"));
+    EXPECT_FALSE(counters.contains("raster.tilesEliminated"));
+    EXPECT_FALSE(counters.contains("raster.tileFlushesEliminated"));
+    EXPECT_FALSE(counters.contains("re.falsePositives"));
 }

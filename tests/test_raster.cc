@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "gpu/binning.hh"
 #include "gpu/memiface.hh"
 #include "gpu/raster.hh"
 #include "gpu/tile_pool.hh"
+#include "reference_raster.hh"
 
 using namespace regpu;
 
@@ -236,6 +241,231 @@ TEST_F(RasterFixture, DeterministicColors)
     render(0, a);
     render(0, b);
     EXPECT_EQ(a, b);
+}
+
+TEST(RasterBounds, FarOffVertexRendersLikeANearerOne)
+{
+    // x = 3e10 is outside the int range: the bounds are clamped to the
+    // tile in float before converting, so tile 0 gets the same 8x8
+    // fragments as with x = 1e9 (and no out-of-range write).
+    GpuConfig config;
+    config.scaleResolution(64, 64);
+    const std::vector<Texture> textures;
+    std::vector<DrawCall> draws(1);
+    draws[0].state = flatState();
+    std::vector<Color> colors[2];
+    for (int i = 0; i < 2; i++) {
+        Primitive p;
+        p.v[0].x = 8; p.v[0].y = 8;
+        p.v[1].x = i ? 3e10f : 1e9f; p.v[1].y = 8;
+        p.v[2].x = 8; p.v[2].y = 40;
+        BinnedFrame frame;
+        frame.primitives.push_back(p);
+        frame.tileLists.assign(config.numTiles(), {});
+        frame.tileLists[0].push_back({0, 0x200000000ull, 64});
+        TileRenderStats ts = TileRenderer(config, nullptr, textures)
+            .renderTile(0, frame, draws, Color(0, 0, 0), colors[i]);
+        EXPECT_EQ(ts.fragmentsGenerated, 64u) << "x = " << p.v[1].x;
+    }
+    EXPECT_EQ(colors[0], colors[1]);
+}
+
+// ---- The fast path against the naive reference --------------------------
+
+namespace
+{
+
+/** Every call a MemTraceSink receives, flattened, in order. */
+struct SinkLog : MemTraceSink
+{
+    std::vector<u64> calls;
+
+    void put(std::initializer_list<u64> v)
+    { calls.insert(calls.end(), v); }
+
+    void vertexFetch(Addr a, u32 n) override { put({0, a, n}); }
+    void parameterWrite(Addr a, u32 n) override { put({1, a, n}); }
+    void parameterRead(Addr a, u32 n) override { put({2, a, n}); }
+    void texelFetch(u32 cache, Addr a) override { put({3, cache, a}); }
+    void
+    texelFetches(u32 cache, std::span<const Addr> addrs) override
+    {
+        put({4, cache, addrs.size()});
+        calls.insert(calls.end(), addrs.begin(), addrs.end());
+    }
+    void colorFlush(Addr a, u32 n) override { put({5, a, n}); }
+    void colorRead(Addr a, u32 n) override { put({6, a, n}); }
+};
+
+/** A memo client that logs every call and hits on a fixed third of
+ *  the signatures, so both the reuse and the shading path run. */
+struct MemoLog : FragmentMemoClient
+{
+    std::vector<u64> calls;
+
+    void tileBegin(TileId tile) override
+    { calls.insert(calls.end(), {0, tile}); }
+    bool
+    lookup(u32 sig, Color &reused) override
+    {
+        calls.insert(calls.end(), {1, sig});
+        if (sig % 3 != 0)
+            return false;
+        reused = Color::fromPacked(sig * 2654435761u);
+        return true;
+    }
+    void insert(u32 sig, Color color) override
+    { calls.insert(calls.end(), {2, sig, color.packed()}); }
+};
+
+/** A seeded random frame of 1-12 triangles on a 40x24 screen: 3x2
+ *  tiles, the right column and the bottom row clipped. */
+struct OracleFrame
+{
+    GpuConfig config;
+    std::vector<Texture> textures;
+    std::vector<DrawCall> draws;
+    BinnedFrame frame;
+
+    explicit OracleFrame(u64 seed)
+    {
+        config.scaleResolution(40, 24);
+        textures.emplace_back(0, 32, 32, TexturePattern::Noise, seed);
+        textures.emplace_back(1, 16, 64, TexturePattern::Atlas, seed);
+        frame.tileLists.assign(config.numTiles(), {});
+        Rng rng(seed);
+        const u32 count = 1 + static_cast<u32>(rng.nextBounded(12));
+        for (u32 i = 0; i < count; i++)
+            addTriangle(rng, i);
+    }
+
+    void
+    addTriangle(Rng &rng, u32 i)
+    {
+        DrawCall d;
+        PipelineState &st = d.state;
+        st.shader = static_cast<ShaderKind>(rng.nextBounded(5));
+        st.textureId = rng.nextBool(0.9f)
+            ? static_cast<i32>(rng.nextBounded(2)) : -1;
+        st.blendMode = static_cast<BlendMode>(rng.nextBounded(3));
+        st.depthTest = rng.nextBool();
+        st.depthWrite = rng.nextBool();
+        st.uniforms.tint = {rng.nextFloatRange(0, 1.5f),
+                            rng.nextFloatRange(0, 1.5f),
+                            rng.nextFloatRange(0, 1.5f), rng.nextFloat()};
+
+        Primitive p;
+        // 0-1: on screen, 2: screen-spanning, 3: degenerate.
+        const u64 shape = rng.nextBounded(4);
+        const float span = shape == 2 ? 400.0f : 48.0f;
+        for (ShadedVertex &v : p.v) {
+            v.x = rng.nextFloatRange(-span / 4, 40 + span / 4);
+            v.y = rng.nextFloatRange(-span / 4, 24 + span / 4);
+            v.z = rng.nextFloatRange(-0.1f, 1.1f);
+            v.invW = rng.nextFloatRange(0.05f, 2.0f);
+            v.color = {rng.nextFloatRange(-0.25f, 1.25f),
+                       rng.nextFloatRange(-0.25f, 1.25f),
+                       rng.nextFloatRange(-0.25f, 1.25f), rng.nextFloat()};
+            v.texcoord = {rng.nextFloatRange(-4, 4),
+                          rng.nextFloatRange(-4, 4)};
+            v.diffuse = rng.nextFloatRange(0, 1.25f);
+        }
+        if (shape == 3) {
+            // A repeated vertex or a horizontal line: zero area.
+            if (rng.nextBool())
+                p.v[2] = p.v[0];
+            else
+                p.v[1].y = p.v[2].y = p.v[0].y;
+        }
+        p.drawIndex = static_cast<u32>(draws.size());
+        draws.push_back(d);
+
+        const u32 primIndex = static_cast<u32>(frame.primitives.size());
+        frame.primitives.push_back(p);
+        StatRegistry unused;
+        std::vector<TileId> tiles =
+            PolygonListBuilder(config, unused, nullptr).overlappedTiles(p);
+        // Degenerate triangles reach every tile; so, now and then, does
+        // a triangle whose bounding box misses the tile.
+        if (shape == 3 || rng.nextBool(0.2f)) {
+            tiles.clear();
+            for (TileId t = 0; t < config.numTiles(); t++)
+                tiles.push_back(t);
+        }
+        for (TileId t : tiles)
+            frame.tileLists[t].push_back(
+                {primIndex, 0x200000000ull + 64ull * i, 48 + 16 * i});
+    }
+};
+
+void
+expectSameStats(const TileRenderStats &got, const TileRenderStats &want)
+{
+    EXPECT_EQ(got.primitivesFetched, want.primitivesFetched);
+    EXPECT_EQ(got.fragmentsGenerated, want.fragmentsGenerated);
+    EXPECT_EQ(got.fragmentsEarlyZKilled, want.fragmentsEarlyZKilled);
+    EXPECT_EQ(got.fragmentsShaded, want.fragmentsShaded);
+    EXPECT_EQ(got.fragmentsMemoReused, want.fragmentsMemoReused);
+    EXPECT_EQ(got.shaderInstructions, want.shaderInstructions);
+    EXPECT_EQ(got.texelFetches, want.texelFetches);
+    EXPECT_EQ(got.blendOps, want.blendOps);
+    EXPECT_EQ(got.parameterBytesRead, want.parameterBytesRead);
+}
+
+/** Every packed color of a tile, for a compact failure message. */
+std::vector<u32>
+packed(const std::vector<Color> &colors)
+{
+    std::vector<u32> out;
+    for (Color c : colors)
+        out.push_back(c.packed());
+    return out;
+}
+
+} // namespace
+
+TEST(RasterOracle, RandomTilesMatchTheNaiveReference)
+{
+    // Every tile of every frame, in order, on this one thread: the
+    // fast path's per-thread Depth Buffer carries the last tile's
+    // values into the next, which its lazy clear must never expose.
+    u64 fragments = 0, reused = 0, killed = 0;
+    for (u64 seed = 1; seed <= 300; seed++) {
+        const OracleFrame f(seed);
+        for (bool withMemo : {false, true}) {
+            for (TileId tile = 0; tile < f.config.numTiles(); tile++) {
+                SCOPED_TRACE("seed " + std::to_string(seed) + " tile "
+                             + std::to_string(tile)
+                             + (withMemo ? " memo" : ""));
+                MemEventRecorder fastMem, refMem;
+                MemoLog fastMemo, refMemo;
+                std::vector<Color> fastColors, refColors;
+                const TileRenderStats fast =
+                    TileRenderer(f.config, &fastMem, f.textures,
+                                 withMemo ? &fastMemo : nullptr)
+                        .renderTile(tile, f.frame, f.draws,
+                                    Color(12, 34, 56, 78), fastColors);
+                const TileRenderStats ref = testutil::referenceRenderTile(
+                    f.config, &refMem, f.textures,
+                    withMemo ? &refMemo : nullptr, tile, f.frame, f.draws,
+                    Color(12, 34, 56, 78), refColors);
+                expectSameStats(fast, ref);
+                EXPECT_EQ(packed(fastColors), packed(refColors));
+                SinkLog fastLog, refLog;
+                fastMem.replay(fastLog);
+                refMem.replay(refLog);
+                EXPECT_EQ(fastLog.calls, refLog.calls);
+                EXPECT_EQ(fastMemo.calls, refMemo.calls);
+                fragments += ref.fragmentsGenerated;
+                reused += ref.fragmentsMemoReused;
+                killed += ref.fragmentsEarlyZKilled;
+            }
+        }
+    }
+    // The frames exercised every path.
+    EXPECT_GT(fragments, 10000u);
+    EXPECT_GT(reused, 0u);
+    EXPECT_GT(killed, 0u);
 }
 
 TEST(FragmentSignature, ExcludesScreenCoordinates)

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hh"
 #include "gpu/texture.hh"
+#include "reference_raster.hh"
 
 using namespace regpu;
 
@@ -101,6 +107,53 @@ TEST(Sampler, BilinearInterpolatesBetweenTexels)
     // Halfway between texel 0 and 1 centres on row 0.
     Color c = Sampler::sample(t, 1.0f / 32, 0.5f / 32, nullptr);
     EXPECT_NEAR(c.r, 128, 2);
+}
+
+TEST(Sampler, MatchesStdFloorReference)
+{
+    // The inline sampler's truncate-and-adjust floor and lane lerps
+    // against std::floor and scalar Vec4 lerps: colors and addresses.
+    const Texture tex(0, 32, 16, TexturePattern::Noise, 11);
+    std::vector<std::pair<float, float>> coords;
+    Rng rng(42);
+    for (int i = 0; i < 20000; i++)
+        coords.emplace_back(rng.nextFloatRange(-8, 8),
+                            rng.nextFloatRange(-8, 8));
+    // Texel centres (u = s * 32 - 0.5 an integer) and edges (u + 0.5
+    // an integer), with their neighbouring floats, on both sides of 0.
+    for (int k = -80; k <= 80; k++) {
+        for (float s : {(k + 0.5f) / 32, k / 32.0f}) {
+            const float t = s / 2;
+            coords.emplace_back(s, t);
+            coords.emplace_back(std::nextafter(s, -1e9f),
+                                std::nextafter(t, 1e9f));
+            coords.emplace_back(std::nextafter(s, 1e9f),
+                                std::nextafter(t, -1e9f));
+        }
+    }
+    coords.emplace_back(0.0f, -0.0f);
+    coords.emplace_back(-0.0f, 0.0f);
+    coords.emplace_back(-0.0f, -0.0f);
+    // Near +-2^23 texels, where a float's spacing reaches one texel.
+    for (float texels : {8388608.0f, 8388607.0f, 4194303.5f}) {
+        for (float sign : {1.0f, -1.0f}) {
+            const float s = sign * texels / 32;
+            const float t = sign * texels / 16;
+            coords.emplace_back(s, t);
+            coords.emplace_back(std::nextafter(s, 0.0f),
+                                std::nextafter(t, 0.0f));
+            coords.emplace_back(std::nextafter(s, sign * 1e9f),
+                                std::nextafter(t, sign * 1e9f));
+        }
+    }
+    for (const auto &[s, t] : coords) {
+        TexelFootprint fast, ref;
+        const Color got = Sampler::sample(tex, s, t, &fast);
+        const Color want = testutil::referenceSample(tex, s, t, &ref);
+        ASSERT_EQ(got.packed(), want.packed()) << "s=" << s << " t=" << t;
+        ASSERT_EQ(fast.count, ref.count);
+        ASSERT_EQ(fast.addr, ref.addr) << "s=" << s << " t=" << t;
+    }
 }
 
 TEST(Texture, SizeBytes)
