@@ -9,8 +9,10 @@
  *       --seed N (default 1)
  *   info <file>         print META, chunk census and size breakdown
  *   verify <file>...    walk the whole file checking every chunk CRC,
- *                       the index table and the footer; exit 1 on any
- *                       corruption
+ *                       every payload (parsed by the replay reader's
+ *                       own deserializers), the index table and the
+ *                       footer; exit 1 on any corruption, so the
+ *                       replay reader rejects nothing that verifies
  *   replay <file>       simulate from a trace
  *       --tech base,re,te,memo (default base,re) --hash K --jobs N
  *       --tile-jobs N (intra-frame tile workers; results identical

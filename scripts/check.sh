@@ -37,8 +37,9 @@
 #    the lock discipline at compile time. Same loud-skip policy when
 #    clang++ is absent.
 #  - ASan+UBSan (-DREGPU_SANITIZE=address, which adds
-#    float-cast-overflow to gcc's UBSan set) re-runs the unit suites
-#    and the two results-ledger tests (real scenes through suite_cli);
+#    float-cast-overflow to gcc's UBSan set) re-runs the unit suites,
+#    the two results-ledger tests (real scenes through suite_cli) and
+#    test_trace (hostile, CRC-valid payloads through the trace parser);
 #    TSan (-DREGPU_SANITIZE=thread) runs the ParallelRunner
 #    determinism + contention-stress suites plus the observability
 #    suite (per-thread ring attach/park under an 8-worker pool).
@@ -68,8 +69,8 @@
 #   scripts/check.sh --tidy      # clang-tidy zero-warning gate only
 #   scripts/check.sh --tsa       # clang thread-safety analysis only
 #   scripts/check.sh --tsan      # TSan build + parallel suites only
-#   scripts/check.sh --sanitize  # ASan+UBSan build + unit and
-#                                # results-ledger tests only
+#   scripts/check.sh --sanitize  # ASan+UBSan build + unit,
+#                                # results-ledger and trace tests only
 #   scripts/check.sh --fma       # -mfma build + results-ledger and
 #                                # paper-figures golden tests only
 #   scripts/check.sh --obs       # observability smoke: sweep with
@@ -260,11 +261,13 @@ run_sanitize_pass() {
     echo "== sanitize build =="
     cmake --build "$SANITIZE_DIR" -j"$(nproc)"
 
-    echo "== sanitize ctest (unit + results ledger) =="
+    echo "== sanitize ctest (unit + results ledger + trace parser) =="
     (cd "$SANITIZE_DIR" && ctest --output-on-failure -j"$(nproc)" -L unit)
+    # test_trace is labelled integration, but it is where hostile trace
+    # payloads reach the parser, so it runs under the sanitizers too.
     (cd "$SANITIZE_DIR" \
          && ctest --output-on-failure -j2 --no-tests=error \
-                  -R '^results_ledger_tile_jobs_(1|4)$')
+                  -R '^(results_ledger_tile_jobs_(1|4)|test_trace)$')
     gate_end asan
 }
 

@@ -83,8 +83,6 @@ class HashStream
         return kind_ == HashKind::Crc32 ? crc_.lengthBytes() : length_;
     }
 
-    HashKind kind() const { return kind_; }
-
   private:
     HashKind kind_;
     Crc32Stream crc_; //!< state for HashKind::Crc32

@@ -158,8 +158,6 @@ class RenderingElimination : public PipelineHooks
     /** Geometry-stall cycles of the current frame (timing model). */
     Cycles frameStallCycles() const { return unit.activity().stallCycles; }
 
-    SignatureBuffer &signatureBuffer() { return buffer; }
-
   private:
     const GpuConfig &config;
     StatRegistry &stats;

@@ -312,10 +312,8 @@ retargetJobsToTraces(std::vector<SimJob> &jobs, const std::string &dir)
                  meta.seed, "; replaying that content (requested seed ",
                  job.sceneSeed, ")");
         job.config.scaleResolution(meta.screenWidth, meta.screenHeight);
-        if (meta.tileWidth != 0) {
-            job.config.tileWidth = meta.tileWidth;
-            job.config.tileHeight = meta.tileHeight;
-        }
+        job.config.tileWidth = meta.tileWidth;
+        job.config.tileHeight = meta.tileHeight;
         if (job.options.frames > reader.frameCount())
             fatal("trace: replay wants ", job.options.frames,
                   " frames but ", job.tracePath, " holds only ",
@@ -362,10 +360,8 @@ buildReplayShards(const std::string &tracePath, const GpuConfig &config,
         job.workload = meta.name;
         job.config = config;
         job.config.scaleResolution(meta.screenWidth, meta.screenHeight);
-        if (meta.tileWidth != 0) {
-            job.config.tileWidth = meta.tileWidth;
-            job.config.tileHeight = meta.tileHeight;
-        }
+        job.config.tileWidth = meta.tileWidth;
+        job.config.tileHeight = meta.tileHeight;
         job.options = options;
         job.options.frames = len;
         job.sceneSeed = meta.seed;

@@ -114,8 +114,6 @@ class TransactionElimination : public PipelineHooks
         accessesCharged = total;
     }
 
-    SignatureBuffer &signatureBuffer() { return buffer; }
-
   private:
     StatRegistry &stats;
     SignatureBuffer buffer;

@@ -42,6 +42,13 @@ deserializeMeta(ByteCursor &in)
     meta.tileWidth = in.getU32();
     meta.tileHeight = in.getU32();
     meta.textureCount = in.getU32();
+    // A replay adopts this geometry, and GpuConfig::validate() would
+    // fatal() on a zero size in the Simulator, on a worker thread.
+    if (meta.screenWidth == 0 || meta.screenHeight == 0
+        || meta.tileWidth == 0 || meta.tileHeight == 0)
+        in.fail("zero screen or tile size (screen ", meta.screenWidth, "x",
+                meta.screenHeight, ", tiles ", meta.tileWidth, "x",
+                meta.tileHeight, ")");
     return meta;
 }
 
@@ -55,31 +62,59 @@ serializeTexture(ByteBuffer &out, const Texture &tex)
         out.putU32(c.packed());
 }
 
-Texture
+std::optional<Texture>
 deserializeTexture(ByteCursor &in)
 {
     const u32 id = in.getU32();
     const u32 w = in.getU32();
     const u32 h = in.getU32();
     if (w == 0 || h == 0 || (w & (w - 1)) != 0 || (h & (h - 1)) != 0)
-        fatal("trace: texture ", id, " has invalid dimensions ", w, "x",
-              h);
+        in.fail("texture ", id, " has invalid dimensions ", w, "x", h);
     // Bound the count by the bytes actually present before reserving:
-    // malformed counts must fatal() with a diagnostic, not abort in
-    // the allocator.
-    if (static_cast<u64>(w) * h > in.remaining() / 4)
-        fatal("trace: texture ", id, " declares ", w, "x", h,
-              " texels but only ", in.remaining(),
-              " payload bytes remain");
-    std::vector<Color> texels;
-    texels.reserve(static_cast<std::size_t>(w) * h);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(w) * h; i++)
-        texels.push_back(Color::fromPacked(in.getU32()));
+    // a malformed count must fail with a diagnostic, not abort in the
+    // allocator.
+    else if (static_cast<u64>(w) * h > in.remaining() / 4)
+        in.fail("texture ", id, " declares ", w, "x", h,
+                " texels but only ", in.remaining(),
+                " payload bytes remain");
+    if (!in.ok())
+        return std::nullopt;
+    std::vector<Color> texels(static_cast<std::size_t>(w) * h);
+    for (Color &c : texels)
+        c = Color::fromPacked(in.getU32());
     return Texture(id, w, h, std::move(texels));
 }
 
 namespace
 {
+
+/** Visit the 25 uniform floats in wire order: mvp (row-major), tint,
+ *  lightDir, uv offsets. */
+template <typename Uniforms, typename Visit>
+void
+forEachUniformFloat(Uniforms &u, Visit &&visit)
+{
+    for (int r = 0; r < 4; r++)
+        for (int c = 0; c < 4; c++)
+            visit(u.mvp.m[r][c]);
+    for (auto *f : {&u.tint.x, &u.tint.y, &u.tint.z, &u.tint.w,
+                    &u.lightDir.x, &u.lightDir.y, &u.lightDir.z,
+                    &u.uvOffsetS, &u.uvOffsetT})
+        visit(*f);
+}
+
+/** Visit a vertex's 12 floats in wire order: position, color,
+ *  texcoord, normal. */
+template <typename V, typename Visit>
+void
+forEachVertexFloat(V &v, Visit &&visit)
+{
+    for (auto *f : {&v.position.x, &v.position.y, &v.position.z,
+                    &v.color.x, &v.color.y, &v.color.z, &v.color.w,
+                    &v.texcoord.x, &v.texcoord.y, &v.normal.x,
+                    &v.normal.y, &v.normal.z})
+        visit(*f);
+}
 
 void
 serializeDraw(ByteBuffer &out, const DrawCall &draw)
@@ -96,52 +131,34 @@ serializeDraw(ByteBuffer &out, const DrawCall &draw)
     out.putU8(draw.layout.hasNormal ? 1 : 0);
     out.putU8(0);  // pad to keep the uniform block 4-byte aligned
 
-    const UniformSet &u = draw.state.uniforms;
-    for (int r = 0; r < 4; r++)
-        for (int c = 0; c < 4; c++)
-            out.putF32(u.mvp.m[r][c]);
-    out.putF32(u.tint.x);
-    out.putF32(u.tint.y);
-    out.putF32(u.tint.z);
-    out.putF32(u.tint.w);
-    out.putF32(u.lightDir.x);
-    out.putF32(u.lightDir.y);
-    out.putF32(u.lightDir.z);
-    out.putF32(u.uvOffsetS);
-    out.putF32(u.uvOffsetT);
-
+    auto put = [&](float f) { out.putF32(f); };
+    forEachUniformFloat(draw.state.uniforms, put);
     out.putU32(static_cast<u32>(draw.vertices.size()));
-    for (const Vertex &v : draw.vertices) {
-        out.putF32(v.position.x);
-        out.putF32(v.position.y);
-        out.putF32(v.position.z);
-        out.putF32(v.color.x);
-        out.putF32(v.color.y);
-        out.putF32(v.color.z);
-        out.putF32(v.color.w);
-        out.putF32(v.texcoord.x);
-        out.putF32(v.texcoord.y);
-        out.putF32(v.normal.x);
-        out.putF32(v.normal.y);
-        out.putF32(v.normal.z);
-    }
+    for (const Vertex &v : draw.vertices)
+        forEachVertexFloat(v, put);
 }
 
 DrawCall
-deserializeDraw(ByteCursor &in)
+deserializeDraw(ByteCursor &in, u32 textureCount)
 {
     DrawCall draw;
     const u8 shader = in.getU8();
     if (shader > static_cast<u8>(ShaderKind::TexLit))
-        fatal("trace: unknown shader kind ", unsigned(shader));
+        in.fail("unknown shader kind ", unsigned(shader));
     draw.state.shader = static_cast<ShaderKind>(shader);
     const u8 blend = in.getU8();
     if (blend > static_cast<u8>(BlendMode::Additive))
-        fatal("trace: unknown blend mode ", unsigned(blend));
+        in.fail("unknown blend mode ", unsigned(blend));
     draw.state.blendMode = static_cast<BlendMode>(blend);
     draw.state.depthTest = in.getU8() != 0;
     draw.state.depthWrite = in.getU8() != 0;
     draw.state.textureId = in.getI32();
+    // The raster indexes the texture set with this id.
+    if (shaderSamplesTexture(draw.state.shader)
+        && draw.state.textureId >= 0
+        && static_cast<u32>(draw.state.textureId) >= textureCount)
+        in.fail("draw samples texture ", draw.state.textureId,
+                " but the trace has ", textureCount, " textures");
     draw.vertexBufferId = in.getU32();
 
     draw.layout.hasColor = in.getU8() != 0;
@@ -149,42 +166,15 @@ deserializeDraw(ByteCursor &in)
     draw.layout.hasNormal = in.getU8() != 0;
     in.getU8();  // pad
 
-    UniformSet &u = draw.state.uniforms;
-    for (int r = 0; r < 4; r++)
-        for (int c = 0; c < 4; c++)
-            u.mvp.m[r][c] = in.getF32();
-    u.tint.x = in.getF32();
-    u.tint.y = in.getF32();
-    u.tint.z = in.getF32();
-    u.tint.w = in.getF32();
-    u.lightDir.x = in.getF32();
-    u.lightDir.y = in.getF32();
-    u.lightDir.z = in.getF32();
-    u.uvOffsetS = in.getF32();
-    u.uvOffsetT = in.getF32();
-
+    auto get = [&](float &f) { f = in.getF32(); };
+    forEachUniformFloat(draw.state.uniforms, get);
     const u32 vertexCount = in.getU32();
     if (vertexCount > in.remaining() / (12 * 4))
-        fatal("trace: draw declares ", vertexCount,
-              " vertices but only ", in.remaining(),
-              " payload bytes remain");
-    draw.vertices.reserve(vertexCount);
-    for (u32 i = 0; i < vertexCount; i++) {
-        Vertex v;
-        v.position.x = in.getF32();
-        v.position.y = in.getF32();
-        v.position.z = in.getF32();
-        v.color.x = in.getF32();
-        v.color.y = in.getF32();
-        v.color.z = in.getF32();
-        v.color.w = in.getF32();
-        v.texcoord.x = in.getF32();
-        v.texcoord.y = in.getF32();
-        v.normal.x = in.getF32();
-        v.normal.y = in.getF32();
-        v.normal.z = in.getF32();
-        draw.vertices.push_back(v);
-    }
+        in.fail("draw declares ", vertexCount, " vertices but only ",
+                in.remaining(), " payload bytes remain");
+    draw.vertices.resize(in.ok() ? vertexCount : 0);
+    for (Vertex &v : draw.vertices)
+        forEachVertexFloat(v, get);
     return draw;
 }
 
@@ -205,11 +195,12 @@ serializeFrame(ByteBuffer &out, u64 frameIndex, const FrameCommands &cmds)
 }
 
 FrameCommands
-deserializeFrame(ByteCursor &in, u64 *frameIndexOut)
+deserializeFrame(ByteCursor &in, u64 frameIndex, u32 textureCount)
 {
-    const u64 frameIndex = in.getU64();
-    if (frameIndexOut)
-        *frameIndexOut = frameIndex;
+    const u64 storedIndex = in.getU64();
+    if (storedIndex != frameIndex)
+        in.fail("records frame ", storedIndex, ", expected frame ",
+                frameIndex);
     FrameCommands cmds;
     cmds.globalStateChanged = in.getU8() != 0;
     cmds.clearColor.r = in.getU8();
@@ -220,13 +211,72 @@ deserializeFrame(ByteCursor &in, u64 *frameIndexOut)
     // 4 layout bytes + 25 uniform floats + vertex count = 120 bytes.
     const u32 drawCount = in.getU32();
     if (drawCount > in.remaining() / 120)
-        fatal("trace: frame declares ", drawCount,
-              " draws but only ", in.remaining(),
-              " payload bytes remain");
-    cmds.draws.reserve(drawCount);
-    for (u32 i = 0; i < drawCount; i++)
-        cmds.draws.push_back(deserializeDraw(in));
+        in.fail("frame declares ", drawCount, " draws but only ",
+                in.remaining(), " payload bytes remain");
+    cmds.draws.reserve(in.ok() ? drawCount : 0);
+    for (u32 i = 0; i < drawCount && in.ok(); i++)
+        cmds.draws.push_back(deserializeDraw(in, textureCount));
     return cmds;
+}
+
+void
+serializeIndex(ByteBuffer &out, std::span<const u64> frameOffsets)
+{
+    out.putU64(frameOffsets.size());
+    for (u64 offset : frameOffsets)
+        out.putU64(offset);
+}
+
+std::vector<u64>
+deserializeIndex(ByteCursor &in)
+{
+    const u64 frames = in.getU64();
+    // Validate the count against the payload before reserving: a
+    // hostile count must fail with a diagnostic, not throw
+    // std::length_error. Wrap-safe: 8 * frames could overflow.
+    if (in.remaining() % 8 != 0 || frames != in.remaining() / 8)
+        in.fail("declares ", frames, " frames but the payload holds ",
+                in.remaining() / 8);
+    std::vector<u64> offsets(in.ok() ? frames : 0);
+    for (u64 &offset : offsets)
+        offset = in.getU64();
+    return offsets;
+}
+
+namespace
+{
+
+u32
+footerCrc(u64 indexOffset)
+{
+    Crc32Stream crc;
+    crc.putU32(static_cast<u32>(indexOffset));
+    crc.putU32(static_cast<u32>(indexOffset >> 32));
+    return crc.value();
+}
+
+} // namespace
+
+void
+serializeFooter(ByteBuffer &out, u64 indexOffset)
+{
+    out.putU64(indexOffset);
+    out.putU32(footerCrc(indexOffset));
+    for (u8 c : traceEndMagic)
+        out.putU8(c);
+}
+
+u64
+deserializeFooter(ByteCursor &in)
+{
+    const u64 indexOffset = in.getU64();
+    const u32 crc = in.getU32();
+    for (u8 expected : traceEndMagic)
+        if (in.getU8() != expected)
+            in.fail("bad end magic (truncated capture?)");
+    if (crc != footerCrc(indexOffset))
+        in.fail("footer CRC mismatch");
+    return indexOffset;
 }
 
 } // namespace regpu

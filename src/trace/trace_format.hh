@@ -45,7 +45,8 @@
 #ifndef REGPU_TRACE_TRACE_FORMAT_HH
 #define REGPU_TRACE_TRACE_FORMAT_HH
 
-#include <cstring>
+#include <bit>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -105,30 +106,10 @@ class ByteBuffer
 {
   public:
     void putU8(u8 v) { bytes_.push_back(v); }
-
-    void
-    putU32(u32 v)
-    {
-        for (int i = 0; i < 4; i++)
-            bytes_.push_back(static_cast<u8>(v >> (8 * i)));
-    }
-
-    void
-    putU64(u64 v)
-    {
-        for (int i = 0; i < 8; i++)
-            bytes_.push_back(static_cast<u8>(v >> (8 * i)));
-    }
-
+    void putU32(u32 v) { putLe(v, 4); }
+    void putU64(u64 v) { putLe(v, 8); }
     void putI32(i32 v) { putU32(static_cast<u32>(v)); }
-
-    void
-    putF32(float f)
-    {
-        u32 bits;
-        std::memcpy(&bits, &f, 4);
-        putU32(bits);
-    }
+    void putF32(float f) { putU32(std::bit_cast<u32>(f)); }
 
     /** Length-prefixed string (u32 length + raw bytes). */
     void
@@ -138,120 +119,127 @@ class ByteBuffer
         bytes_.insert(bytes_.end(), s.begin(), s.end());
     }
 
-    void
-    putBytes(std::span<const u8> b)
-    {
-        bytes_.insert(bytes_.end(), b.begin(), b.end());
-    }
-
     const std::vector<u8> &data() const { return bytes_; }
 
   private:
+    void
+    putLe(u64 v, int bytes)
+    {
+        for (int i = 0; i < bytes; i++)
+            bytes_.push_back(static_cast<u8>(v >> (8 * i)));
+    }
+
     std::vector<u8> bytes_;
 };
 
 /**
- * Bounds-checked little-endian reader over a chunk payload. Payloads
- * are CRC-verified before parsing, so an overrun here means the file
- * was produced by a broken writer — fatal(), not silent garbage.
+ * Bounds-checked little-endian reader over a chunk payload. It never
+ * fatal()s: the first problem, an overrun or a field a deserializer
+ * rejects through fail(), is kept in error(), and every later read
+ * returns zero. TraceReader turns that error into fatal() while
+ * verifyTraceFile() reports it, so both run the same parser.
  */
 class ByteCursor
 {
   public:
     explicit ByteCursor(std::span<const u8> bytes) : buf(bytes) {}
 
-    u8
-    getU8()
-    {
-        need(1);
-        return buf[pos_++];
-    }
-
-    u32
-    getU32()
-    {
-        need(4);
-        u32 v = 0;
-        for (int i = 0; i < 4; i++)
-            v |= static_cast<u32>(buf[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        return v;
-    }
-
-    u64
-    getU64()
-    {
-        need(8);
-        u64 v = 0;
-        for (int i = 0; i < 8; i++)
-            v |= static_cast<u64>(buf[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        return v;
-    }
-
+    u8 getU8() { return static_cast<u8>(getLe(1)); }
+    u32 getU32() { return static_cast<u32>(getLe(4)); }
+    u64 getU64() { return getLe(8); }
     i32 getI32() { return static_cast<i32>(getU32()); }
-
-    float
-    getF32()
-    {
-        u32 bits = getU32();
-        float f;
-        std::memcpy(&f, &bits, 4);
-        return f;
-    }
+    float getF32() { return std::bit_cast<float>(getU32()); }
 
     std::string
     getString()
     {
         u32 len = getU32();
-        need(len);
+        if (!need(len))
+            return {};
         std::string s(reinterpret_cast<const char *>(buf.data() + pos_),
                       len);
         pos_ += len;
         return s;
     }
 
-    std::span<const u8>
-    getBytes(std::size_t n)
-    {
-        need(n);
-        std::span<const u8> s = buf.subspan(pos_, n);
-        pos_ += n;
-        return s;
-    }
-
     std::size_t remaining() const { return buf.size() - pos_; }
 
-  private:
+    bool ok() const { return error_.empty(); }
+
+    /** The first problem met; empty while ok(). */
+    const std::string &error() const { return error_; }
+
+    /** Keep @p args as the error unless one is already kept, and skip
+     *  the rest of the payload. */
+    template <typename... Args>
     void
+    fail(Args &&...args)
+    {
+        if (error_.empty())
+            error_ = log_detail::concat(args...);
+        pos_ = buf.size();
+    }
+
+  private:
+    u64
+    getLe(std::size_t n)
+    {
+        if (!need(n))
+            return 0;
+        u64 v = 0;
+        for (std::size_t i = 0; i < n; i++)
+            v |= static_cast<u64>(buf[pos_ + i]) << (8 * i);
+        pos_ += n;
+        return v;
+    }
+
+    bool
     need(std::size_t n)
     {
-        if (buf.size() - pos_ < n)
-            fatal("trace: truncated chunk payload (need ", n,
-                  " bytes, have ", buf.size() - pos_, ")");
+        if (buf.size() - pos_ >= n)
+            return true;
+        fail("truncated payload (need ", n, " bytes, have ",
+             buf.size() - pos_, ")");
+        return false;
     }
 
     std::span<const u8> buf;
     std::size_t pos_ = 0;
+    std::string error_;
 };
 
 /** CRC-32 of a chunk as stored on the wire (header fields + payload). */
 u32 traceChunkCrc(u32 type, std::span<const u8> payload);
 
 // --- Payload (de)serializers -----------------------------------------------
-// Shared by TraceWriter and TraceReader so the two directions cannot
-// diverge. All of these round-trip bit-exactly (floats travel as raw
-// IEEE-754 bit patterns).
+// Shared by TraceWriter, TraceReader and verifyTraceFile() so no two
+// of them can diverge. All of these round-trip bit-exactly (floats
+// travel as raw IEEE-754 bit patterns). A deserializer reports a
+// truncated or hostile payload through the cursor's error; its return
+// value is meaningful only while the cursor is ok().
 
 void serializeMeta(ByteBuffer &out, const TraceMeta &meta);
 TraceMeta deserializeMeta(ByteCursor &in);
 
 void serializeTexture(ByteBuffer &out, const Texture &tex);
-Texture deserializeTexture(ByteCursor &in);
+/** Empty iff the cursor holds an error. */
+std::optional<Texture> deserializeTexture(ByteCursor &in);
 
 void serializeFrame(ByteBuffer &out, u64 frameIndex,
                     const FrameCommands &cmds);
-FrameCommands deserializeFrame(ByteCursor &in, u64 *frameIndexOut);
+/** Parse the FRAM payload of frame @p frameIndex of a trace holding
+ *  @p textureCount textures: the stored index must match, and a draw
+ *  that samples a texture must name one of them. */
+FrameCommands deserializeFrame(ByteCursor &in, u64 frameIndex,
+                               u32 textureCount);
+
+/** INDX payload: the FRAM chunk offsets, in frame order. */
+void serializeIndex(ByteBuffer &out, std::span<const u64> frameOffsets);
+std::vector<u64> deserializeIndex(ByteCursor &in);
+
+/** Footer: the INDX offset, its CRC and the end magic. */
+void serializeFooter(ByteBuffer &out, u64 indexOffset);
+u64 deserializeFooter(ByteCursor &in);
 
 } // namespace regpu
 

@@ -1,8 +1,6 @@
 #include "trace/trace_reader.hh"
 
-#include <cstring>
-
-#include "crc/crc32.hh"
+#include <algorithm>
 
 namespace regpu
 {
@@ -22,106 +20,144 @@ fourccName(u32 type)
     return s;
 }
 
+/** "FRAM chunk at offset 123": how every diagnostic names a chunk. */
+std::string
+chunkAt(u32 type, u64 offset)
+{
+    return log_detail::concat(fourccName(type), " chunk at offset ", offset);
+}
+
+/** Read @p bytes.size() bytes at @p offset; false on a short read. */
+bool
+readAt(std::ifstream &in, u64 offset, std::span<u8> bytes)
+{
+    in.clear();
+    in.seekg(static_cast<std::streamoff>(offset));
+    in.read(reinterpret_cast<char *>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    return static_cast<bool>(in);
+}
+
+/** One chunk as readTraceChunk() found it. */
+struct TraceChunk
+{
+    u32 type = 0;
+    std::vector<u8> payload;
+    std::string error;    //!< first problem; empty iff the chunk is sound
+    bool framed = false;  //!< header and payload were read, so the next
+                          //!< chunk follows even when the CRC failed
+};
+
+/**
+ * Read the chunk at @p offset, which must end by @p end (the footer):
+ * header, a known type, a wrap-safe length, the payload and its CRC.
+ */
+TraceChunk
+readTraceChunk(std::ifstream &in, u64 offset, u64 end)
+{
+    TraceChunk chunk;
+    u8 header[traceChunkHeaderBytes];
+    if (offset > end || end - offset < traceChunkHeaderBytes
+        || !readAt(in, offset, header)) {
+        chunk.error = log_detail::concat("no chunk header fits at offset ",
+                                         offset, " before the footer");
+        return chunk;
+    }
+    ByteCursor hc(header);
+    chunk.type = hc.getU32();
+    const u64 length = hc.getU64();
+    const u32 storedCrc = hc.getU32();
+    const std::string where = chunkAt(chunk.type, offset);
+    if (chunk.type != traceChunkMeta && chunk.type != traceChunkTexture
+        && chunk.type != traceChunkFrame && chunk.type != traceChunkIndex)
+        chunk.error = log_detail::concat("unknown chunk type '",
+                                         fourccName(chunk.type),
+                                         "' at offset ", offset);
+    // Compare against the remaining bytes, not offset + length: a
+    // corrupted length near 2^64 would wrap the sum past the check
+    // and reach the payload allocation.
+    else if (length > end - offset - traceChunkHeaderBytes)
+        chunk.error = where + " overruns the file";
+    if (!chunk.error.empty())
+        return chunk;
+
+    chunk.payload.resize(length);
+    if (!readAt(in, offset + traceChunkHeaderBytes, chunk.payload)) {
+        chunk.error = "short read in " + where;
+        return chunk;
+    }
+    chunk.framed = true;
+    if (traceChunkCrc(chunk.type, chunk.payload) != storedCrc)
+        chunk.error = "CRC mismatch in " + where;
+    return chunk;
+}
+
+/** fatal() with the error @p payload kept for the chunk at @p offset. */
+[[noreturn]] void
+fatalPayload(const ByteCursor &payload, u32 type, u64 offset,
+             const std::string &path)
+{
+    fatal("trace: ", chunkAt(type, offset), ": ", payload.error(), " in ",
+          path);
+}
+
 } // namespace
 
 TraceReader::TraceReader(const std::string &path)
-    : in(path, std::ios::binary), path_(path)
+    : in(path, std::ios::binary | std::ios::ate), path_(path)
 {
     if (!in)
         fatal("trace: cannot open: ", path);
 
-    in.seekg(0, std::ios::end);
     fileBytes_ = static_cast<u64>(in.tellg());
     if (fileBytes_ < sizeof(traceMagic) + traceFooterBytes)
         fatal("trace: file too small to be a trace: ", path);
 
     u8 magic[sizeof(traceMagic)];
-    in.seekg(0);
-    in.read(reinterpret_cast<char *>(magic), sizeof(magic));
-    if (!in || std::memcmp(magic, traceMagic, sizeof(magic)) != 0)
+    if (!readAt(in, 0, magic)
+        || !std::equal(magic, magic + sizeof(magic), traceMagic))
         fatal("trace: bad magic (not a regpu trace?): ", path);
 
-    // Footer: index offset + its CRC + end magic.
     u8 footer[traceFooterBytes];
-    in.seekg(static_cast<std::streamoff>(fileBytes_ - traceFooterBytes));
-    in.read(reinterpret_cast<char *>(footer), sizeof(footer));
-    if (!in)
+    if (!readAt(in, fileBytes_ - traceFooterBytes, footer))
         fatal("trace: cannot read footer: ", path);
-    if (std::memcmp(footer + 12, traceEndMagic, sizeof(traceEndMagic))
-        != 0)
-        fatal("trace: bad end magic (truncated capture?): ", path);
-    ByteCursor fc({footer, traceFooterBytes});
-    const u64 indexOffset = fc.getU64();
-    const u32 footerCrc = fc.getU32();
-    Crc32Stream crc;
-    crc.putU32(static_cast<u32>(indexOffset));
-    crc.putU32(static_cast<u32>(indexOffset >> 32));
-    if (crc.value() != footerCrc)
-        fatal("trace: footer CRC mismatch: ", path);
+    ByteCursor fc(footer);
+    const u64 indexOffset = deserializeFooter(fc);
+    if (!fc.ok())
+        fatal("trace: ", fc.error(), " in ", path);
 
-    // Index table. Validate the count against the payload size before
-    // reserving: a CRC-valid but malformed count must fatal() with a
-    // diagnostic, not abort via std::length_error.
-    std::vector<u8> index = readChunk(indexOffset, traceChunkIndex);
+    const std::vector<u8> index = readChunk(indexOffset, traceChunkIndex);
     ByteCursor ic(index);
-    const u64 frames = ic.getU64();
-    // Wrap-safe form (8 * frames could overflow for a hostile count).
-    if ((index.size() - 8) % 8 != 0 || frames != (index.size() - 8) / 8)
-        fatal("trace: INDX declares ", frames,
-              " frames but its payload holds ", ic.remaining() / 8,
-              ": ", path);
-    frameOffsets.reserve(frames);
-    for (u64 i = 0; i < frames; i++)
-        frameOffsets.push_back(ic.getU64());
+    frameOffsets = deserializeIndex(ic);
+    if (!ic.ok())
+        fatalPayload(ic, traceChunkIndex, indexOffset, path);
 
     // META is always the first chunk, right after the magic.
-    std::vector<u8> metaPayload =
+    const std::vector<u8> metaPayload =
         readChunk(sizeof(traceMagic), traceChunkMeta);
     ByteCursor mc(metaPayload);
     meta_ = deserializeMeta(mc);
+    if (!mc.ok())
+        fatalPayload(mc, traceChunkMeta, sizeof(traceMagic), path);
     firstTextureOffset =
         sizeof(traceMagic) + traceChunkHeaderBytes + metaPayload.size();
 
-    if (meta_.frames != frames)
+    if (meta_.frames != frameOffsets.size())
         fatal("trace: META declares ", meta_.frames,
-              " frames but index has ", frames, ": ", path);
+              " frames but index has ", frameOffsets.size(), ": ", path);
 }
 
 std::vector<u8>
 TraceReader::readChunk(u64 offset, u32 expectType) const
 {
-    if (offset + traceChunkHeaderBytes > fileBytes_)
-        fatal("trace: chunk offset ", offset, " beyond end of ", path_);
-    u8 header[traceChunkHeaderBytes];
-    in.clear();
-    in.seekg(static_cast<std::streamoff>(offset));
-    in.read(reinterpret_cast<char *>(header), sizeof(header));
-    if (!in)
-        fatal("trace: cannot read chunk header at ", offset, " in ",
-              path_);
-    ByteCursor hc({header, traceChunkHeaderBytes});
-    const u32 type = hc.getU32();
-    const u64 length = hc.getU64();
-    const u32 storedCrc = hc.getU32();
-    if (type != expectType)
+    TraceChunk chunk =
+        readTraceChunk(in, offset, fileBytes_ - traceFooterBytes);
+    if (!chunk.error.empty())
+        fatal("trace: ", chunk.error, " in ", path_);
+    if (chunk.type != expectType)
         fatal("trace: expected ", fourccName(expectType), " chunk at ",
-              offset, ", found ", fourccName(type), " in ", path_);
-    // Compare against the remaining bytes, not offset + length: a
-    // corrupted length near 2^64 would wrap the sum past the check.
-    if (length > fileBytes_ - offset - traceChunkHeaderBytes)
-        fatal("trace: chunk at ", offset, " overruns end of ", path_);
-
-    std::vector<u8> payload(length);
-    in.read(reinterpret_cast<char *>(payload.data()),
-            static_cast<std::streamsize>(length));
-    if (!in)
-        fatal("trace: cannot read chunk payload at ", offset, " in ",
-              path_);
-    if (traceChunkCrc(type, payload) != storedCrc)
-        fatal("trace: CRC mismatch in ", fourccName(type),
-              " chunk at offset ", offset, " in ", path_,
-              " (file corrupted?)");
-    return payload;
+              offset, ", found ", fourccName(chunk.type), " in ", path_);
+    return std::move(chunk.payload);
 }
 
 std::vector<Texture>
@@ -132,9 +168,12 @@ TraceReader::readTextures() const
     std::vector<Texture> textures;
     u64 offset = firstTextureOffset;
     for (u32 t = 0; t < meta_.textureCount; t++) {
-        std::vector<u8> payload = readChunk(offset, traceChunkTexture);
+        const std::vector<u8> payload = readChunk(offset, traceChunkTexture);
         ByteCursor pc(payload);
-        textures.push_back(deserializeTexture(pc));
+        std::optional<Texture> tex = deserializeTexture(pc);
+        if (!tex)
+            fatalPayload(pc, traceChunkTexture, offset, path_);
+        textures.push_back(std::move(*tex));
         offset += traceChunkHeaderBytes + payload.size();
     }
     return textures;
@@ -146,14 +185,12 @@ TraceReader::readFrame(u64 index) const
     if (index >= frameOffsets.size())
         fatal("trace: frame ", index, " out of range (trace has ",
               frameOffsets.size(), " frames): ", path_);
-    std::vector<u8> payload =
+    const std::vector<u8> payload =
         readChunk(frameOffsets[index], traceChunkFrame);
     ByteCursor pc(payload);
-    u64 storedIndex = 0;
-    FrameCommands cmds = deserializeFrame(pc, &storedIndex);
-    if (storedIndex != index)
-        fatal("trace: index table points frame ", index,
-              " at a chunk recording frame ", storedIndex, ": ", path_);
+    FrameCommands cmds = deserializeFrame(pc, index, meta_.textureCount);
+    if (!pc.ok())
+        fatalPayload(pc, traceChunkFrame, frameOffsets[index], path_);
     return cmds;
 }
 
@@ -161,187 +198,112 @@ TraceVerifyReport
 verifyTraceFile(const std::string &path)
 {
     TraceVerifyReport report;
-    auto fail = [&](std::string msg) {
-        report.errors.push_back(std::move(msg));
+    auto fail = [&](const auto &...parts) {
+        report.errors.push_back(log_detail::concat(parts...));
     };
 
-    std::ifstream f(path, std::ios::binary);
+    std::ifstream f(path, std::ios::binary | std::ios::ate);
     if (!f) {
         fail("cannot open file");
         return report;
     }
-    f.seekg(0, std::ios::end);
-    const u64 fileBytes = static_cast<u64>(f.tellg());
-    report.fileBytes = fileBytes;
-    if (fileBytes < sizeof(traceMagic) + traceFooterBytes) {
+    report.fileBytes = static_cast<u64>(f.tellg());
+    if (report.fileBytes < sizeof(traceMagic) + traceFooterBytes) {
         fail("file too small to be a trace");
         return report;
     }
 
     u8 magic[sizeof(traceMagic)];
-    f.seekg(0);
-    f.read(reinterpret_cast<char *>(magic), sizeof(magic));
-    if (std::memcmp(magic, traceMagic, sizeof(magic)) != 0)
+    if (!readAt(f, 0, magic)
+        || !std::equal(magic, magic + sizeof(magic), traceMagic))
         fail("bad leading magic");
 
-    // Walk every chunk from the magic to the footer.
-    const u64 chunkRegionEnd = fileBytes - traceFooterBytes;
+    // Walk every chunk from the magic to the footer, parsing each
+    // payload whose CRC holds exactly as TraceReader would.
+    const u64 end = report.fileBytes - traceFooterBytes;
     u64 offset = sizeof(traceMagic);
-    u64 observedIndexOffset = 0;
-    std::vector<u64> observedFrameOffsets;
-    std::vector<u8> metaPayload;
-    bool metaCrcOk = false;
-    bool orderOk = true;
-    u64 chunkNo = 0;
-    while (offset < chunkRegionEnd) {
-        if (offset + traceChunkHeaderBytes > chunkRegionEnd) {
-            fail("trailing garbage between last chunk and footer");
+    u64 indexOffset = 0;
+    std::vector<u64> frameOffsets;
+    bool metaSeen = false;
+    bool metaParsed = false;
+    while (offset < end) {
+        TraceChunk chunk = readTraceChunk(f, offset, end);
+        if (!chunk.error.empty())
+            fail(chunk.error);
+        if (!chunk.framed)
             break;
-        }
-        u8 header[traceChunkHeaderBytes];
-        f.clear();
-        f.seekg(static_cast<std::streamoff>(offset));
-        f.read(reinterpret_cast<char *>(header), sizeof(header));
-        ByteCursor hc({header, traceChunkHeaderBytes});
-        const u32 type = hc.getU32();
-        const u64 length = hc.getU64();
-        const u32 storedCrc = hc.getU32();
-
-        if (type != traceChunkMeta && type != traceChunkTexture
-            && type != traceChunkFrame && type != traceChunkIndex) {
-            fail("unknown chunk type '" + fourccName(type)
-                 + "' at offset " + std::to_string(offset));
-            break;
-        }
-        // Wrap-safe: a corrupted length near 2^64 must not slip past
-        // the check and reach the payload allocation.
-        if (length > chunkRegionEnd - offset - traceChunkHeaderBytes) {
-            fail("chunk '" + fourccName(type) + "' at offset "
-                 + std::to_string(offset) + " overruns the file");
-            break;
-        }
-        std::vector<u8> payload(length);
-        f.read(reinterpret_cast<char *>(payload.data()),
-               static_cast<std::streamsize>(length));
-        if (!f) {
-            fail("short read in chunk at offset "
-                 + std::to_string(offset));
-            break;
-        }
-        const bool crcOk = traceChunkCrc(type, payload) == storedCrc;
-        if (!crcOk)
-            fail("CRC mismatch in '" + fourccName(type)
-                 + "' chunk at offset " + std::to_string(offset));
         report.chunks++;
+        const bool crcOk = chunk.error.empty();
+        ByteCursor pc(chunk.payload);
 
-        if (type == traceChunkMeta) {
-            if (chunkNo != 0) {
+        if (chunk.type == traceChunkMeta) {
+            if (report.chunks != 1)
                 fail("META chunk is not first");
-                orderOk = false;
+            metaSeen = true;
+            if (crcOk) {
+                report.meta = deserializeMeta(pc);
+                metaParsed = pc.ok();
             }
-            metaPayload = payload;
-            metaCrcOk = crcOk;
-        } else if (type == traceChunkTexture) {
+        } else if (chunk.type == traceChunkTexture) {
             report.textures++;
-            if (!observedFrameOffsets.empty())
+            if (!frameOffsets.empty())
                 fail("TEXT chunk after the first FRAM chunk");
-        } else if (type == traceChunkFrame) {
-            observedFrameOffsets.push_back(offset);
-            report.frames++;
+            if (crcOk)
+                deserializeTexture(pc);
+        } else if (chunk.type == traceChunkFrame) {
+            // Every TEXT chunk precedes the first FRAM and META must
+            // declare exactly that many, so on a trace that verifies
+            // this is META's textureCount.
+            if (crcOk)
+                deserializeFrame(pc, frameOffsets.size(),
+                                 static_cast<u32>(report.textures));
+            frameOffsets.push_back(offset);
         } else {
-            observedIndexOffset = offset;
-            if (offset + traceChunkHeaderBytes + length
-                != chunkRegionEnd)
+            indexOffset = offset;
+            if (offset + traceChunkHeaderBytes + chunk.payload.size()
+                != end)
                 fail("INDX chunk is not the last chunk");
             // Cross-check the table against the FRAM chunks actually
             // seen on the walk.
-            ByteCursor ic(payload);
-            if (payload.size() < 8) {
-                fail("INDX payload truncated");
-            } else {
-                const u64 count = ic.getU64();
-                if (count != observedFrameOffsets.size()
-                    || payload.size() != 8 + 8 * count) {
+            if (crcOk) {
+                const std::vector<u64> table = deserializeIndex(pc);
+                const auto wrong =
+                    std::mismatch(table.begin(), table.end(),
+                                  frameOffsets.begin(), frameOffsets.end());
+                if (pc.ok() && table.size() != frameOffsets.size())
                     fail("INDX frame count disagrees with FRAM chunks");
-                } else {
-                    for (u64 i = 0; i < count; i++)
-                        if (ic.getU64() != observedFrameOffsets[i]) {
-                            fail("INDX entry " + std::to_string(i)
-                                 + " points at the wrong offset");
-                            break;
-                        }
-                }
+                else if (pc.ok() && wrong.first != table.end())
+                    fail("INDX entry ", wrong.first - table.begin(),
+                         " points at the wrong offset");
             }
         }
-        offset += traceChunkHeaderBytes + length;
-        chunkNo++;
+        if (!pc.ok())
+            fail(chunkAt(chunk.type, offset), ": ", pc.error());
+        offset += traceChunkHeaderBytes + chunk.payload.size();
+    }
+    report.frames = frameOffsets.size();
+
+    if (!metaSeen) {
+        fail("no META chunk found");
+    } else if (metaParsed) {
+        if (report.meta.frames != report.frames)
+            fail("META declares ", report.meta.frames, " frames, file has ",
+                 report.frames);
+        if (report.meta.textureCount != report.textures)
+            fail("META declares ", report.meta.textureCount,
+                 " textures, file has ", report.textures);
     }
 
-    if (metaPayload.empty()) {
-        if (orderOk)
-            fail("no META chunk found");
-    } else if (metaCrcOk) {
-        // Parse defensively even though the CRC matched: a hostile
-        // writer can CRC a malformed payload correctly, and ByteCursor
-        // bounds failures fatal() - which verify must never do. Check
-        // every length before consuming: name(4+len) + seed(8) +
-        // frames(8) + five u32 fields.
-        ByteCursor mc(metaPayload);
-        bool metaOk = false;
-        if (mc.remaining() >= 4) {
-            const u32 nameLen = mc.getU32();
-            if (mc.remaining() >= nameLen) {
-                std::span<const u8> name = mc.getBytes(nameLen);
-                report.meta.name.assign(
-                    reinterpret_cast<const char *>(name.data()),
-                    name.size());
-                if (mc.remaining() >= 8 + 8 + 4 * 5) {
-                    report.meta.seed = mc.getU64();
-                    report.meta.frames = mc.getU64();
-                    report.meta.screenWidth = mc.getU32();
-                    report.meta.screenHeight = mc.getU32();
-                    report.meta.tileWidth = mc.getU32();
-                    report.meta.tileHeight = mc.getU32();
-                    report.meta.textureCount = mc.getU32();
-                    metaOk = true;
-                    if (report.meta.frames != report.frames)
-                        fail("META declares "
-                             + std::to_string(report.meta.frames)
-                             + " frames, file has "
-                             + std::to_string(report.frames));
-                    if (report.meta.textureCount != report.textures)
-                        fail("META declares "
-                             + std::to_string(report.meta.textureCount)
-                             + " textures, file has "
-                             + std::to_string(report.textures));
-                }
-            }
-        }
-        if (!metaOk)
-            fail("META payload truncated");
-    }
-
-    // Footer.
     u8 footer[traceFooterBytes];
-    f.clear();
-    f.seekg(static_cast<std::streamoff>(fileBytes - traceFooterBytes));
-    f.read(reinterpret_cast<char *>(footer), sizeof(footer));
-    if (!f) {
+    if (!readAt(f, end, footer)) {
         fail("cannot read footer");
     } else {
-        ByteCursor fc({footer, traceFooterBytes});
-        const u64 indexOffset = fc.getU64();
-        const u32 footerCrc = fc.getU32();
-        Crc32Stream crc;
-        crc.putU32(static_cast<u32>(indexOffset));
-        crc.putU32(static_cast<u32>(indexOffset >> 32));
-        if (crc.value() != footerCrc)
-            fail("footer CRC mismatch");
-        else if (indexOffset != observedIndexOffset)
+        ByteCursor fc(footer);
+        const u64 footerIndexOffset = deserializeFooter(fc);
+        if (!fc.ok())
+            fail(fc.error());
+        else if (footerIndexOffset != indexOffset)
             fail("footer does not point at the INDX chunk");
-        if (std::memcmp(footer + 12, traceEndMagic,
-                        sizeof(traceEndMagic)) != 0)
-            fail("bad end magic");
     }
 
     report.ok = report.errors.empty();

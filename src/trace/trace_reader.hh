@@ -5,13 +5,14 @@
  * open() reads the magic, footer, frame index table and META chunk up
  * front — O(trace header), not O(frames) — after which any frame is
  * one seek away via the index table. Every chunk consumed is CRC
- * checked before its payload is parsed; a mismatch is fatal() on the
+ * checked before its payload is parsed; any problem is fatal() on the
  * load path.
  *
- * verifyTraceFile() is the diagnostic sibling: it never fatal()s,
- * walking the whole file (structure, every chunk CRC, index
- * cross-check against observed FRAM offsets, footer) and returning a
- * report — this is what `trace_cli verify` prints.
+ * verifyTraceFile() is the diagnostic sibling: it never fatal()s. It
+ * walks the whole file with the reader's own chunk reader, footer
+ * parser and payload deserializers, so the reader rejects nothing
+ * that verifies, and returns a report — this is what `trace_cli
+ * verify` prints.
  */
 
 #ifndef REGPU_TRACE_TRACE_READER_HH
@@ -80,9 +81,11 @@ struct TraceVerifyReport
 
 /**
  * Walk @p path end to end without ever fatal()ing: magic, every chunk
- * header and CRC, chunk ordering, META consistency, index-table
- * agreement with the observed FRAM offsets, and the footer. Any
- * single flipped byte in the file surfaces as at least one error.
+ * header and CRC, every META, TEXT, FRAM and INDX payload through the
+ * reader's deserializers, chunk ordering, META consistency,
+ * index-table agreement with the observed FRAM offsets, and the
+ * footer. Any single flipped byte in the file surfaces as at least
+ * one error, and nothing that verifies makes the reader fatal().
  */
 TraceVerifyReport verifyTraceFile(const std::string &path);
 

@@ -1,7 +1,6 @@
 #include "trace/trace_writer.hh"
 
 #include "common/config.hh"
-#include "crc/crc32.hh"
 #include "scene/frame_source.hh"
 
 namespace regpu
@@ -93,18 +92,11 @@ TraceWriter::finish()
               " frames declared by META in ", path_);
 
     ByteBuffer payload;
-    payload.putU64(frameOffsets.size());
-    for (u64 off : frameOffsets)
-        payload.putU64(off);
+    serializeIndex(payload, frameOffsets);
     const u64 indexOffset = writeChunk(traceChunkIndex, payload.data());
 
     ByteBuffer footer;
-    footer.putU64(indexOffset);
-    Crc32Stream crc;
-    crc.putU32(static_cast<u32>(indexOffset));
-    crc.putU32(static_cast<u32>(indexOffset >> 32));
-    footer.putU32(crc.value());
-    footer.putBytes({traceEndMagic, sizeof(traceEndMagic)});
+    serializeFooter(footer, indexOffset);
     out.write(reinterpret_cast<const char *>(footer.data().data()),
               static_cast<std::streamsize>(footer.data().size()));
     offset_ += footer.data().size();

@@ -3,13 +3,14 @@
  * Process-wide cache of fully verified trace files.
  *
  * ParallelRunner pre-flights every replay job by verifying its trace
- * end-to-end (every chunk CRC, not just the header/index an open
- * checks) on the caller thread, so TEXT/FRAM corruption can never
- * fatal() on a worker mid-pool. Verification walks the whole file, so
- * the result is cached per path for the life of the process: streaming
- * frontends (one run() call per sweep cell) and per-technique replay
- * loops verify each file once, not once per cell. Trace files are
- * assumed immutable while the process lives.
+ * end-to-end on the caller thread: every chunk CRC and every payload,
+ * parsed by TraceReader's own deserializers. The reader rejects
+ * nothing that verifies, so TEXT/FRAM corruption can never fatal() on
+ * a worker mid-pool. Verification walks the whole file, so the result
+ * is cached per path for the life of the process:
+ * ablation_hash_quality (one run() per hash kind) and trace_cli replay
+ * (one per technique) verify each file once. Trace files are assumed
+ * immutable while the process lives.
  *
  * The cache is hammered concurrently — several ParallelRunner::run()
  * calls on distinct threads race their first lookups (pinned by

@@ -5,9 +5,10 @@
  * The headline contract: replaying a recorded trace through the
  * Simulator yields a SimResult bit-identical to the live-scene run it
  * was captured from — for every suite alias, under Baseline, RE and
- * TE. Plus: integrity (every flipped byte of a trace file must be
- * caught by verify), windowed replay, frame-range sharding, the
- * record/replay sweep helpers, and the strict ExperimentScale parser.
+ * TE. Plus: integrity (every flipped byte of a trace file, and every
+ * CRC-valid hostile payload, must be caught by verify), windowed
+ * replay, frame-range sharding, the record/replay sweep helpers, and
+ * the strict ExperimentScale parser.
  */
 
 #include <gtest/gtest.h>
@@ -262,6 +263,141 @@ TEST(TraceIntegrity, VerifySurvivesHugeCorruptChunkLength)
     const TraceVerifyReport report = verifyTraceFile(path);
     EXPECT_FALSE(report.ok);
     std::remove(path.c_str());
+}
+
+TEST(TraceIntegrity, CursorKeepsItsFirstError)
+{
+    const u8 bytes[] = {7, 1, 2};
+    ByteCursor in(bytes);
+    EXPECT_EQ(in.getU8(), 7u);
+    EXPECT_TRUE(in.ok());
+    EXPECT_EQ(in.getU32(), 0u);  // overrun: 4 bytes wanted, 2 left
+    ASSERT_FALSE(in.ok());
+    const std::string first = in.error();
+    EXPECT_NE(first.find("truncated payload"), std::string::npos);
+    in.fail("a later problem");
+    EXPECT_EQ(in.error(), first);
+    EXPECT_EQ(in.remaining(), 0u);
+    EXPECT_EQ(in.getU8(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile payloads: one field edited and the chunk CRC re-sealed, so
+// the CRC layer passes and only the payload parser can reject it.
+// verify must, and so the runner's pre-flight must stop the run on the
+// calling thread before any worker replays the trace.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+u64
+readLe(const std::vector<u8> &bytes, u64 at, int width)
+{
+    u64 v = 0;
+    for (int i = 0; i < width; i++)
+        v |= static_cast<u64>(bytes[at + i]) << (8 * i);
+    return v;
+}
+
+/** Store @p value (@p width bytes, little-endian) at byte @p at of the
+ *  payload of the chunk at @p chunk, then re-seal that chunk's CRC. */
+void
+patchAndReseal(std::vector<u8> &file, u64 chunk, u64 at, u64 value,
+               int width)
+{
+    const u64 payload = chunk + traceChunkHeaderBytes;
+    for (int i = 0; i < width; i++)
+        file[payload + at + i] = static_cast<u8>(value >> (8 * i));
+    const u32 type = static_cast<u32>(readLe(file, chunk, 4));
+    const u64 length = readLe(file, chunk + 4, 8);
+    const u32 crc = traceChunkCrc(type, {file.data() + payload, length});
+    for (int i = 0; i < 4; i++)
+        file[chunk + 12 + i] = static_cast<u8>(crc >> (8 * i));
+}
+
+struct HostileEdit
+{
+    const char *name;
+    const char *chunk;  //!< the first chunk of this type is edited
+    u64 at;             //!< payload byte offset
+    u64 value;
+    int width;          //!< bytes written
+    const char *diagnostic;
+};
+
+// META payload ("tiny"): name @0..7, seed @8, frames @16, screen size
+// @24..31, tile size @32..39. TEXT payload: id @0, width @4. FRAM
+// payload: frame index u64 @0, state + clear color @8..12, draw count
+// u32 @13, then the first draw: shader @17, blend @18, depth flags
+// @19..20, textureId @21.
+const HostileEdit hostileEdits[] = {
+    {"shader", "FRAM", 17, 9, 1, "unknown shader kind 9"},
+    {"blend", "FRAM", 18, 9, 1, "unknown blend mode 9"},
+    {"drawCount", "FRAM", 13, 65535, 4, "declares 65535 draws"},
+    {"frameIndex", "FRAM", 0, 7, 8, "records frame 7"},
+    {"textureWidth", "TEXT", 4, 3, 4, "invalid dimensions 3x8"},
+    {"textureId", "FRAM", 21, 1000, 4, "samples texture 1000"},
+    {"tileHeight", "META", 36, 0, 4, "tiles 16x0"},
+};
+
+} // namespace
+
+TEST(TraceIntegrity, VerifyRejectsCrcValidHostilePayloads)
+{
+    GpuConfig config = tinyConfig();
+    auto scene = makeTinyScene(config);
+    const std::string cleanPath = tmpTracePath("hostile_clean");
+    captureTrace(*scene, config, 3, 7, cleanPath);
+    const std::vector<u8> original = readFileBytes(cleanPath);
+    // META is the first chunk and the first TEXT chunk follows it.
+    const u64 meta = sizeof(traceMagic);
+    const u64 text0 =
+        meta + traceChunkHeaderBytes + readLe(original, meta + 4, 8);
+    const u64 frame0 = TraceReader(cleanPath).frameOffset(0);
+    std::remove(cleanPath.c_str());
+
+    for (const HostileEdit &edit : hostileEdits) {
+        SCOPED_TRACE(edit.name);
+        // One path per edit: the runner caches verification per path.
+        const std::string path =
+            tmpTracePath(std::string("hostile_") + edit.name);
+        std::vector<u8> bytes = original;
+        const std::string chunkName = edit.chunk;
+        const u64 chunk = chunkName == "META" ? meta
+            : chunkName == "TEXT"             ? text0
+                                              : frame0;
+        patchAndReseal(bytes, chunk, edit.at, edit.value, edit.width);
+        writeFileBytes(path, bytes);
+
+        const TraceVerifyReport report = verifyTraceFile(path);
+        ASSERT_FALSE(report.ok);
+        ASSERT_EQ(report.errors.size(), 1u) << report.errors.front();
+        const std::string &error = report.errors.front();
+        EXPECT_NE(error.find(chunkName + " chunk at offset "
+                             + std::to_string(chunk)),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find(edit.diagnostic), std::string::npos)
+            << error;
+        // Replay runs the same parser and fatal()s on the same problem.
+        EXPECT_EXIT(
+            {
+                TraceScene replay(path);
+                for (u64 f = 0; f < replay.replayFrames(); f++)
+                    replay.emitFrame(f);
+            },
+            ::testing::ExitedWithCode(1), edit.diagnostic);
+
+        SimJob job;
+        job.workload = "tiny";
+        job.config = config;
+        job.options.frames = 3;
+        job.tracePath = path;
+        EXPECT_EXIT(ParallelRunner(2).run({job, job}),
+                    ::testing::ExitedWithCode(1), "failed verification");
+        std::remove(path.c_str());
+    }
 }
 
 // ---------------------------------------------------------------------------
