@@ -49,11 +49,13 @@
 #    test_memo (per-thread memo LUTs on the pool) and
 #    test_pipeline_integration (the tile loop's hook calls) run there
 #    too.
-#  - fma (--fma) builds suite_cli and paper_figures with -mfma and
-#    re-runs both results-ledger tests and paper_figures_golden: the
+#  - fma (--fma) builds suite_cli, paper_figures and the raster,
+#    texture, color and cache suites with -mfma and re-runs both
+#    results-ledger tests, paper_figures_golden and those suites: the
 #    pinned -ffp-contract=off must keep every simulated number
-#    independent of -march. Same loud-skip policy when the CPU has no
-#    FMA (no "fma" flag in /proc/cpuinfo).
+#    independent of -march, and the lane kernel's products and sums
+#    bit-identical to the scalar reference. Same loud-skip policy when
+#    the CPU has no FMA (no "fma" flag in /proc/cpuinfo).
 #
 # Every run ends with a gate summary table: per gate, whether it ran,
 # was skipped (and why), failed, or was not part of the invoked flow.
@@ -71,8 +73,9 @@
 #   scripts/check.sh --tsan      # TSan build + parallel suites only
 #   scripts/check.sh --sanitize  # ASan+UBSan build + unit,
 #                                # results-ledger and trace tests only
-#   scripts/check.sh --fma       # -mfma build + results-ledger and
-#                                # paper-figures golden tests only
+#   scripts/check.sh --fma       # -mfma build + results-ledger,
+#                                # paper-figures golden and raster,
+#                                # texture, color, cache tests only
 #   scripts/check.sh --obs       # observability smoke: sweep with
 #                                # --obs-dir, validate the timeline
 #                                # JSON / per-frame JSONL / heatmap
@@ -286,12 +289,16 @@ run_fma_pass() {
 
     # gcc fuses a*b+c into an FMA wherever the target has one unless
     # contraction is off; the top-level -ffp-contract=off must keep
-    # the ledger and the paper tables byte-identical under -mfma.
+    # the ledger and the paper tables byte-identical under -mfma. The
+    # raster, texture, color and cache suites hold the oracles of the
+    # lane kernel's products and sums, where contraction would change
+    # bits first.
     cmake -B "$FMA_DIR" -S . -DCMAKE_CXX_FLAGS=-mfma
-    cmake --build "$FMA_DIR" -j"$(nproc)" --target suite_cli paper_figures
+    cmake --build "$FMA_DIR" -j"$(nproc)" --target suite_cli paper_figures \
+        test_raster test_texture test_color test_cache
     (cd "$FMA_DIR" \
          && ctest --output-on-failure -j2 --no-tests=error \
-                  -R '^(results_ledger_tile_jobs_(1|4)|paper_figures_golden)$')
+                  -R '^(results_ledger_tile_jobs_(1|4)|paper_figures_golden|test_(raster|texture|color|cache))$')
     gate_end fma
 }
 

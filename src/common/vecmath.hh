@@ -101,18 +101,19 @@ struct Vec4
  */
 using Lanes4 = float __attribute__((vector_size(16)));
 
-/** Integer lanes matching Lanes4, for __builtin_convertvector. */
+/** Integer lanes matching Lanes4, for __builtin_convertvector. A
+ *  Lanes4 comparison yields these: -1 where it holds, else 0. */
 using I32Lanes4 = i32 __attribute__((vector_size(16)));
 
-inline Lanes4 toLanes(Vec4 v) { return Lanes4{v.x, v.y, v.z, v.w}; }
-inline Vec4 toVec4(Lanes4 l) { return {l[0], l[1], l[2], l[3]}; }
+/** Unsigned lanes matching Lanes4: wrapping u32 index arithmetic. */
+using U32Lanes4 = u32 __attribute__((vector_size(16)));
 
 /** Linear interpolation. */
 constexpr float lerp(float a, float b, float t) { return a + (b - a) * t; }
 constexpr Vec2 lerp(Vec2 a, Vec2 b, float t) { return a + (b - a) * t; }
 constexpr Vec3 lerp(Vec3 a, Vec3 b, float t) { return a + (b - a) * t; }
 constexpr Vec4 lerp(Vec4 a, Vec4 b, float t) { return a + (b - a) * t; }
-inline Lanes4 lerp(Lanes4 a, Lanes4 b, float t) { return a + (b - a) * t; }
+inline Lanes4 lerp(Lanes4 a, Lanes4 b, Lanes4 t) { return a + (b - a) * t; }
 
 /** Clamp helper. */
 constexpr float

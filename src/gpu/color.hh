@@ -18,14 +18,44 @@ namespace regpu
 {
 
 /** n / 255.0f for every 8-bit channel value n, folded at compile time:
- *  the same correctly rounded floats the run-time division yields,
- *  without a divss per channel in the sampler's hot loop. */
+ *  the same correctly rounded floats the run-time division yields. */
 inline constexpr std::array<float, 256> unorm8ToFloat = [] {
     std::array<float, 256> table{};
     for (u32 n = 0; n < 256; n++)
         table[n] = static_cast<float>(n) / 255.0f;
     return table;
 }();
+
+/**
+ * Quantize float lanes in [0,1] to 8 bits: per lane,
+ * clampf(f, 0, 1) * 255 + 0.5, truncated. The lanes run the scalar
+ * clamp's two compares (so NaN passes through it, as in clampf), then
+ * the same multiply and add; the truncating convert then equals the
+ * scalar float-to-u8 cast on the clamped range, and a NaN lane's low
+ * byte is 0, as the scalar cast gives on x86.
+ */
+inline I32Lanes4
+quantizeUnorm8(Lanes4 v)
+{
+    const Lanes4 zero{};
+    const Lanes4 one = zero + 1.0f;
+    v = v < zero ? zero : (v > one ? one : v);
+    return __builtin_convertvector(v * 255.0f + 0.5f, I32Lanes4);
+}
+
+/**
+ * unorm8ToFloat per lane, for lanes in [0, 255], without a division:
+ * 1/255 split into a 16-bit head, whose product with an 8-bit n is
+ * exact, and a tail. The one rounding of the sum then gives the
+ * correctly rounded n / 255.0f for every n, which
+ * Color.Unorm8TableMatchesDivision checks exhaustively.
+ */
+inline Lanes4
+unorm8Lanes(I32Lanes4 n)
+{
+    const Lanes4 f = __builtin_convertvector(n, Lanes4);
+    return f * 0x1.0102p-8f + f * -0x1.fdfdfep-25f;
+}
 
 /** Packed 8-bit-per-channel RGBA color. */
 struct Color
@@ -52,34 +82,14 @@ struct Color
         return {u8(v), u8(v >> 8), u8(v >> 16), u8(v >> 24)};
     }
 
-    /**
-     * Convert float RGBA lanes in [0,1] to packed 8-bit: per channel,
-     * clampf(f, 0, 1) * 255 + 0.5, truncated. The lanes run the scalar
-     * clamp's two compares (so NaN passes through it, as in clampf),
-     * then the same multiply and add; the truncating convert then
-     * equals the scalar float-to-u8 cast on the clamped range.
-     */
+    /** Convert a float RGBA vector in [0,1] to packed 8-bit, one
+     *  channel per lane of quantizeUnorm8. */
     static Color
-    fromLanes(Lanes4 v)
+    fromVec4(Vec4 v)
     {
-        const Lanes4 zero{};
-        const Lanes4 one = zero + 1.0f;
-        v = v < zero ? zero : (v > one ? one : v);
-        const I32Lanes4 q = __builtin_convertvector(v * 255.0f + 0.5f,
-                                                    I32Lanes4);
+        const I32Lanes4 q = quantizeUnorm8(Lanes4{v.x, v.y, v.z, v.w});
         return {static_cast<u8>(q[0]), static_cast<u8>(q[1]),
                 static_cast<u8>(q[2]), static_cast<u8>(q[3])};
-    }
-
-    /** Convert a float RGBA vector in [0,1] to packed 8-bit. */
-    static Color fromVec4(Vec4 v) { return fromLanes(regpu::toLanes(v)); }
-
-    /** Convert back to float RGBA lanes in [0,1]. */
-    Lanes4
-    toLanes() const
-    {
-        return Lanes4{unorm8ToFloat[r], unorm8ToFloat[g], unorm8ToFloat[b],
-                      unorm8ToFloat[a]};
     }
 
     /** Convert back to float RGBA in [0,1]. */

@@ -1,6 +1,8 @@
 #include "gpu/raster.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -22,9 +24,11 @@ namespace
  */
 struct RasterScratch
 {
-    std::vector<float> depth;  //!< the tile's Depth Buffer
+    std::vector<float> depth;  //!< the tile's Depth Buffer (padded)
     std::vector<float> colW0;  //!< per-column products of edge w0
     std::vector<float> colW1;  //!< per-column products of edge w1
+    std::vector<u32> quadCol;  //!< per tile column: (px >> 1) % caches
+    std::vector<u32> quadRow;  //!< per tile row: (py >> 1) % caches
 };
 
 RasterScratch &
@@ -32,6 +36,59 @@ rasterScratch()
 {
     thread_local RasterScratch scratch;
     return scratch;
+}
+
+/** Pixels a lane group spans: one per Lanes4 lane. */
+constexpr u32 groupWidth = 4;
+
+Lanes4
+load4(const float *p)
+{
+    Lanes4 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+void
+store4(float *p, Lanes4 v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+/** A lane mask (-1 where a comparison held) as bits, lane 0 lowest. */
+u32
+laneBits(I32Lanes4 m)
+{
+    const I32Lanes4 b = m & I32Lanes4{1, 2, 4, 8};
+    return static_cast<u32>(b[0] | b[1] | b[2] | b[3]);
+}
+
+/** Set bits of a lane mask (std::popcount is a libgcc call on the
+ *  baseline ISA). */
+u32
+laneCount(u32 bits)
+{
+    return (bits & 1) + (bits >> 1 & 1) + (bits >> 2 & 1) + (bits >> 3);
+}
+
+/** (v >> 1) % n for each v in [first, first + out.size()), stepping
+ *  instead of dividing: the residue advances at every even v. */
+void
+quadResidues(u32 first, u32 n, std::vector<u32> &out)
+{
+    u32 r = (first >> 1) % n;
+    for (u32 k = 0; k < out.size(); k++) {
+        if (k > 0 && (first + k) % 2 == 0)
+            r = r + 1 == n ? 0 : r + 1;
+        out[k] = r;
+    }
+}
+
+/** laneBits' inverse. */
+I32Lanes4
+laneMask(u32 bits)
+{
+    return (I32Lanes4{1, 2, 4, 8} & static_cast<i32>(bits)) != 0;
 }
 
 } // namespace
@@ -103,8 +160,18 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
     outColors.assign(static_cast<std::size_t>(tw) * th, clearColor);
     RasterScratch &scratch = rasterScratch();
     float *depth = nullptr;
-    scratch.colW0.resize(tw);
-    scratch.colW1.resize(tw);
+    const u32 paddedWidth = (tw + groupWidth - 1) / groupWidth * groupWidth;
+    scratch.colW0.resize(paddedWidth);
+    scratch.colW1.resize(paddedWidth);
+    // Texel streams go round-robin over the texture caches by
+    // fragment-quad position, ((px >> 1) + (py >> 1)) % caches. The
+    // sum of the two terms' residues, less caches if it reaches it, is
+    // that residue without a division per fragment.
+    const u32 caches = config.numTextureCaches;
+    scratch.quadCol.resize(tw);
+    scratch.quadRow.resize(th);
+    quadResidues(tx0, caches, scratch.quadCol);
+    quadResidues(ty0, caches, scratch.quadRow);
 
     if (memo)
         memo->tileBegin(tile);
@@ -167,140 +234,187 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
         const bool readsUv = shaderSamplesTexture(kind);
         const bool readsDiffuse = kind == ShaderKind::TexLit;
         const bool readsVaryings = readsColor || readsUv || readsDiffuse;
-        const Lanes4 tint = toLanes(draw.state.uniforms.tint);
-        const Lanes4 colorA = toLanes(a.color);
-        const Lanes4 colorB = toLanes(b.color);
-        const Lanes4 colorC = toLanes(c.color);
+        const Vec4 tint = draw.state.uniforms.tint;
+        const Color flatColor = Color::fromVec4(tint);
 
         if (depthTest && !depth) {
-            scratch.depth.assign(static_cast<std::size_t>(tw) * th, 1.0f);
+            // Padded so that a row-end group's load and store of four
+            // lanes stay inside the buffer.
+            scratch.depth.assign(
+                static_cast<std::size_t>(tw) * th + groupWidth - 1, 1.0f);
             depth = scratch.depth.data();
         }
 
         // Each edge function (bx - ax) * (py - ay) - (by - ay) * (px - ax)
         // splits into a per-row and a per-column product: the same two
-        // products and the same subtraction, so the same bits.
+        // products and the same subtraction, so the same bits. The
+        // columns run on to whole lane groups; lanes past px1 are
+        // masked off.
+        const u32 span = px1 - px0 + 1;
+        const u32 groupedSpan =
+            (span + groupWidth - 1) / groupWidth * groupWidth;
         float *colW0 = scratch.colW0.data();
         float *colW1 = scratch.colW1.data();
-        for (u32 px = px0; px <= px1; px++) {
-            const float sx = px + 0.5f;  // sample at the pixel centre
-            colW0[px - px0] = (c.y - b.y) * (sx - b.x);
-            colW1[px - px0] = (a.y - c.y) * (sx - c.x);
+        for (u32 i = 0; i < groupedSpan; i++) {
+            const float sx = (px0 + i) + 0.5f;  // sample at the pixel centre
+            colW0[i] = (c.y - b.y) * (sx - b.x);
+            colW1[i] = (a.y - c.y) * (sx - c.x);
         }
 
         for (u32 py = py0; py <= py1; py++) {
             const float sy = py + 0.5f;
             const float rowW0 = (c.x - b.x) * (sy - b.y);
             const float rowW1 = (a.x - c.x) * (sy - c.y);
-            for (u32 px = px0; px <= px1; px++) {
-                float w0 = (rowW0 - colW0[px - px0]) * invArea;
-                float w1 = (rowW1 - colW1[px - px0]) * invArea;
-                float w2 = 1.0f - w0 - w1;
+            const std::size_t rowIdx =
+                static_cast<std::size_t>(py - ty0) * tw + (px0 - tx0);
+
+            // Four pixels of the row per step, one per lane. Every lane
+            // is computed; only covered ones emit.
+            for (u32 i = 0; i < span; i += groupWidth) {
+                const Lanes4 w0 = (rowW0 - load4(colW0 + i)) * invArea;
+                const Lanes4 w1 = (rowW1 - load4(colW1 + i)) * invArea;
+                const Lanes4 w2 = 1.0f - w0 - w1;
                 // Top-left-agnostic inclusive test: consistent for
                 // shared edges because weights are exact complements.
-                if (w0 < 0 || w1 < 0 || w2 < 0)
+                // A NaN weight fails no compare, so it counts as
+                // covered, as in the scalar test.
+                const u32 live = span - i >= groupWidth
+                    ? 0xFu : (1u << (span - i)) - 1;
+                u32 mask = ~laneBits((w0 < 0.0f) | (w1 < 0.0f)
+                                     | (w2 < 0.0f)) & live;
+                if (!mask)
                     continue;
-
-                ts.fragmentsGenerated++;
-                const std::size_t idx =
-                    static_cast<std::size_t>(py - ty0) * tw + (px - tx0);
+                ts.fragmentsGenerated += laneCount(mask);
 
                 // Early Depth Test on the interpolated depth (affine:
                 // z is already projected).
                 if (depthTest) {
-                    float z = w0 * a.z + w1 * b.z + w2 * c.z;
-                    if (z > depth[idx]) {
-                        ts.fragmentsEarlyZKilled++;
-                        continue;
-                    }
+                    float *const zs = depth + rowIdx + i;
+                    const Lanes4 z = w0 * a.z + w1 * b.z + w2 * c.z;
+                    const Lanes4 old = load4(zs);
+                    const u32 killed = mask & laneBits(z > old);
+                    ts.fragmentsEarlyZKilled += laneCount(killed);
+                    mask &= ~killed;
                     if (depthWrite)
-                        depth[idx] = z;
+                        store4(zs, laneMask(mask) ? z : old);
+                    if (!mask)
+                        continue;
                 }
 
                 // Perspective-correct varying interpolation.
-                Lanes4 vcolor{};
-                Vec2 uv;
-                float diffuse = 0;
+                Lanes4 vcolor[4] = {};
+                Lanes4 u{}, v{}, diffuse{};
                 if (readsVaryings) {
-                    float iw = w0 * a.invW + w1 * b.invW + w2 * c.invW;
-                    float pc0 = w0 * a.invW / iw;
-                    float pc1 = w1 * b.invW / iw;
-                    float pc2 = 1.0f - pc0 - pc1;
-                    if (readsColor)
-                        vcolor = colorA * pc0 + colorB * pc1 + colorC * pc2;
-                    if (readsUv)
-                        uv = a.texcoord * pc0 + b.texcoord * pc1
-                            + c.texcoord * pc2;
+                    const Lanes4 iw = w0 * a.invW + w1 * b.invW + w2 * c.invW;
+                    const Lanes4 pc0 = w0 * a.invW / iw;
+                    const Lanes4 pc1 = w1 * b.invW / iw;
+                    const Lanes4 pc2 = 1.0f - pc0 - pc1;
+                    auto interpolate = [&](float fa, float fb, float fc) {
+                        return fa * pc0 + fb * pc1 + fc * pc2;
+                    };
+                    if (readsColor) {
+                        for (int ch = 0; ch < 4; ch++)
+                            vcolor[ch] = interpolate(a.color[ch],
+                                                     b.color[ch],
+                                                     c.color[ch]);
+                    }
+                    if (readsUv) {
+                        u = interpolate(a.texcoord.x, b.texcoord.x,
+                                        c.texcoord.x);
+                        v = interpolate(a.texcoord.y, b.texcoord.y,
+                                        c.texcoord.y);
+                    }
                     if (readsDiffuse)
-                        diffuse = a.diffuse * pc0 + b.diffuse * pc1
-                            + c.diffuse * pc2;
+                        diffuse = interpolate(a.diffuse, b.diffuse,
+                                              c.diffuse);
                 }
 
-                // Fragment Memoization hook: reuse before shading.
-                Color src;
-                u32 sig = 0;
-                if (memo) {
-                    sig = fragmentSignature(draw, toVec4(vcolor), uv,
-                                            diffuse);
-                    Color reused;
-                    if (memo->lookup(sig, reused)) {
-                        ts.fragmentsMemoReused++;
-                        src = reused;
-                        outColors[idx] =
-                            blend(blendMode, src, outColors[idx]);
-                        ts.blendOps++;
-                        continue;
-                    }
-                }
-
-                // Fragment Processor: execute the shader, one lane per
-                // channel, in the scalar code's operation order.
-                Lanes4 fcolor{};
-                switch (kind) {
-                  case ShaderKind::Flat:
-                    fcolor = tint;
-                    break;
-                  case ShaderKind::VertexColor:
-                    fcolor = vcolor * tint;
-                    break;
-                  case ShaderKind::Textured:
-                  case ShaderKind::TexModulate:
-                  case ShaderKind::TexLit: {
-                    TexelFootprint touched;
-                    Color texel = tex
-                        ? Sampler::sample(*tex, uv.x, uv.y, &touched)
-                        : Color(255, 0, 255);
-                    if (tex && mem) {
-                        // Round-robin texel streams over the 4 texture
-                        // caches by fragment-quad position.
-                        u32 cacheIdx = ((px >> 1) + (py >> 1))
-                            % config.numTextureCaches;
-                        mem->texelFetches(cacheIdx, touched.addrs());
-                    }
-                    ts.texelFetches += touched.count;
-                    const Lanes4 t4 = texel.toLanes();
-                    if (kind == ShaderKind::Textured) {
-                        fcolor = t4 * tint;
-                    } else if (kind == ShaderKind::TexModulate) {
-                        fcolor = t4 * vcolor * tint;
+                // Fragment Processor: execute the shader for every lane,
+                // each in the scalar code's operation order. A lane the
+                // memo then serves discards its color (and its texel
+                // reads are never reported).
+                U32Lanes4 src = U32Lanes4{} + flatColor.packed();
+                U32Lanes4 texels[4] = {};
+                if (kind != ShaderKind::Flat) {
+                    Lanes4 fcolor[4];
+                    if (kind == ShaderKind::VertexColor) {
+                        for (int ch = 0; ch < 4; ch++)
+                            fcolor[ch] = vcolor[ch] * tint[ch];
                     } else {
-                        // Lighting leaves alpha alone.
-                        fcolor = t4 * diffuse * tint;
-                        fcolor[3] = t4[3] * tint[3];
+                        const Sampler::Channels texel = tex
+                            ? Sampler::sampleLanes(*tex, u, v, texels)
+                            : Sampler::Channels{I32Lanes4{} + 255,
+                                                I32Lanes4{},
+                                                I32Lanes4{} + 255,
+                                                I32Lanes4{} + 255};
+                        for (int ch = 0; ch < 4; ch++) {
+                            const Lanes4 t = unorm8Lanes(texel[ch]);
+                            if (kind == ShaderKind::Textured)
+                                fcolor[ch] = t * tint[ch];
+                            else if (kind == ShaderKind::TexModulate)
+                                fcolor[ch] = t * vcolor[ch] * tint[ch];
+                            else if (ch < 3)
+                                fcolor[ch] = t * diffuse * tint[ch];
+                            else  // lighting leaves alpha alone
+                                fcolor[ch] = t * tint[ch];
+                        }
                     }
-                    break;
-                  }
+                    src = U32Lanes4{};
+                    for (int ch = 0; ch < 4; ch++)
+                        src |= std::bit_cast<U32Lanes4>(
+                                   quantizeUnorm8(fcolor[ch]) & 255)
+                            << (8 * ch);
                 }
-                src = Color::fromLanes(fcolor);
-                ts.fragmentsShaded++;
-                ts.shaderInstructions += instructions;
 
-                if (memo)
-                    memo->insert(sig, src);
+                // Each covered lane, in pixel order: memo lookup,
+                // texel fetches, memo insert and blend.
+                for (u32 bits = mask; bits; bits &= bits - 1) {
+                    const int lane = std::countr_zero(bits);
+                    const u32 px = px0 + i + lane;
+                    Color &dst = outColors[rowIdx + i + lane];
 
-                // Blend unit.
-                outColors[idx] = blend(blendMode, src, outColors[idx]);
-                ts.blendOps++;
+                    // Fragment Memoization hook: reuse before shading.
+                    u32 sig = 0;
+                    if (memo) {
+                        sig = fragmentSignature(
+                            draw,
+                            {vcolor[0][lane], vcolor[1][lane],
+                             vcolor[2][lane], vcolor[3][lane]},
+                            {u[lane], v[lane]}, diffuse[lane]);
+                        Color reused;
+                        if (memo->lookup(sig, reused)) {
+                            ts.fragmentsMemoReused++;
+                            dst = blend(blendMode, reused, dst);
+                            ts.blendOps++;
+                            continue;
+                        }
+                    }
+
+                    if (tex) {
+                        if (mem) {
+                            const std::array<Addr, 4> addrs = {
+                                tex->indexAddr(texels[0][lane]),
+                                tex->indexAddr(texels[1][lane]),
+                                tex->indexAddr(texels[2][lane]),
+                                tex->indexAddr(texels[3][lane])};
+                            const u32 quad = scratch.quadCol[px - tx0]
+                                + scratch.quadRow[py - ty0];
+                            mem->texelFetches(
+                                quad >= caches ? quad - caches : quad, addrs);
+                        }
+                        ts.texelFetches += 4;
+                    }
+                    const Color color = Color::fromPacked(src[lane]);
+                    ts.fragmentsShaded++;
+                    ts.shaderInstructions += instructions;
+
+                    if (memo)
+                        memo->insert(sig, color);
+
+                    // Blend unit.
+                    dst = blend(blendMode, color, dst);
+                    ts.blendOps++;
+                }
             }
         }
     }

@@ -76,12 +76,15 @@ struct TileRenderStats
  * The hot path does per primitive what does not change per fragment:
  * the shader kind, blend mode and instruction count, the varyings the
  * shader reads (only those are interpolated, and z only under a depth
- * test), and each edge function's per-column products. Its float work
- * follows the contract in docs/ARCHITECTURE.md ("The raster kernel's
- * float contract"), so it matches tests/reference_raster.hh, the naive
- * per-pixel form, bit for bit. The Depth Buffer is per-thread scratch,
- * cleared at the tile's first depth-tested primitive, so a warm
- * renderTile allocates nothing.
+ * test), and each edge function's per-column products. It steps four
+ * pixels of a row at a time, one per lane, through coverage, the depth
+ * test, interpolation, sampling and shading, then emits each covered
+ * pixel's memo calls, texel fetches and blend in pixel order. Its float
+ * work follows the contract in docs/ARCHITECTURE.md ("The raster
+ * kernel's float contract"), so it matches tests/reference_raster.hh,
+ * the naive per-pixel form, bit for bit. The Depth Buffer is
+ * per-thread scratch, cleared at the tile's first depth-tested
+ * primitive, so a warm renderTile allocates nothing.
  */
 class TileRenderer
 {

@@ -66,7 +66,6 @@ CacheModel::accessSet(Addr line, bool write, TrafficClass cls)
     const u64 setIdx = line & (numSets - 1);
     const Addr tag = line >> setShift;
     const std::span<Way> set = setOf(line);
-    mruLine = line;
 
     CacheAccessResult result;
     result.latency = params_.hitLatency;
@@ -76,7 +75,8 @@ CacheModel::accessSet(Addr line, bool write, TrafficClass cls)
             hits_++;
             w.lastUse = stamp;
             w.dirty |= write;
-            mruWay = static_cast<std::size_t>(&w - ways_.data());
+            mru[1] = mru[0];
+            mru[0] = {line, static_cast<std::size_t>(&w - ways_.data())};
             result.hit = true;
             return result;
         }
@@ -113,7 +113,10 @@ CacheModel::accessSet(Addr line, bool write, TrafficClass cls)
     victim->dirty = write;
     victim->lastUse = stamp;
     victim->cls = cls;
-    mruWay = static_cast<std::size_t>(victim - ways_.data());
+    const std::size_t victimWay =
+        static_cast<std::size_t>(victim - ways_.data());
+    mru[1] = mru[0].way == victimWay ? MruEntry{} : mru[0];
+    mru[0] = {line, victimWay};
     return result;
 }
 
@@ -153,7 +156,7 @@ CacheModel::invalidateAll()
             w = Way{};
         }
     }
-    mruLine = noLine;
+    mru[0] = mru[1] = MruEntry{};
 }
 
 } // namespace regpu

@@ -25,6 +25,7 @@
 #define REGPU_TIMING_CACHE_HH
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
@@ -146,19 +147,23 @@ class CacheModel
     /** One-line access without demand accounting (range splitting
      *  counts the caller's exact byte demand once, at the entry
      *  point, so conservation stays exact across differing line
-     *  sizes). Inline, so that a repeat of the last line, about half
-     *  of all texel fetches, costs one compare and the hit's
-     *  bookkeeping; any other line takes the out-of-line set scan. */
+     *  sizes). Inline, so that a repeat of either of the last two
+     *  lines, about five in six texel fetches, costs a compare or two
+     *  and the hit's bookkeeping; any other line takes the
+     *  out-of-line set scan. */
     CacheAccessResult
     accessLine(Addr addr, bool write, TrafficClass cls)
     {
         const Addr line = addr >> lineShift;
         accesses_++;
         stamp++;
-        if (line != mruLine)
-            return accessSet(line, write, cls);
+        if (line != mru[0].line) {
+            if (line != mru[1].line)
+                return accessSet(line, write, cls);
+            std::swap(mru[0], mru[1]);
+        }
         hits_++;
-        Way &way = ways_[mruWay];
+        Way &way = ways_[mru[0].way];
         way.lastUse = stamp;
         way.dirty |= write;
         CacheAccessResult result;
@@ -171,7 +176,7 @@ class CacheModel
     std::span<Way> setOf(Addr line);
 
     /** Look @p line up in its set, allocating it over the LRU way on a
-     *  miss, and point the memo at the way that now holds it. */
+     *  miss, and make it the memo's most recent line. */
     CacheAccessResult accessSet(Addr line, bool write, TrafficClass cls);
 
     /** Send a victim line downstream. */
@@ -185,12 +190,20 @@ class CacheModel
     u32 lineShift; //!< log2(lineBytes)
     u32 setShift;  //!< log2(numSets)
     std::vector<Way> ways_; //!< set-major: set s is [s*ways, (s+1)*ways)
-    // MRU memo: the line the last access touched and the index of the
-    // way now holding it. Only a miss, which moves the memo, or
-    // invalidateAll, which clears it, can evict that line, so a repeat
-    // is a hit on that way without a scan.
-    Addr mruLine = noLine;
-    std::size_t mruWay = 0;
+    /** A memo entry: a resident line and the index of its way. */
+    struct MruEntry
+    {
+        Addr line = noLine;
+        std::size_t way = 0;
+    };
+
+    // MRU memo: the last two distinct lines accessed, most recent
+    // first, and the ways holding them. Only a miss or invalidateAll
+    // can evict a line. A miss makes its line the first entry and the
+    // old first the second, unless its way was the victim (a 1-way
+    // set); invalidateAll clears both. So every entry is resident, and
+    // a repeat is a hit on its way without a scan.
+    MruEntry mru[2];
     CacheModel *next_ = nullptr;
     DramModel *dram_ = nullptr;
     u64 stamp = 0;

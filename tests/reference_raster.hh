@@ -5,7 +5,7 @@
  * function evaluated whole at every pixel, every varying interpolated
  * for every fragment, a std::floor sampler with scalar Vec4 lerps, a
  * scalar clamp-and-round color pack, and a fresh Depth Buffer per
- * tile. The fast path must match it bit for bit.
+ * tile. The four-lane fast path must match it bit for bit.
  *
  * Header-only on purpose: the tests/ tree has no library target.
  */
@@ -33,13 +33,23 @@ referenceFromVec4(Vec4 v)
     return {q(v.x), q(v.y), q(v.z), q(v.w)};
 }
 
+/** A texel coordinate as the sampler converts it: NaN reads as 0 and
+ *  the rest is clamped to [-2^30, 2^30], so the floor and u0 + 1 are
+ *  defined. */
+inline float
+referenceClampTexelCoord(float f)
+{
+    const float limit = 1073741824.0f;
+    return std::isnan(f) ? 0.0f : std::clamp(f, -limit, limit);
+}
+
 /** Bilinear sample with std::floor texel coordinates and Vec4 lerps. */
 inline Color
 referenceSample(const Texture &tex, float s, float t,
                 TexelFootprint *touched)
 {
-    float u = s * tex.width() - 0.5f;
-    float v = t * tex.height() - 0.5f;
+    float u = referenceClampTexelCoord(s * tex.width() - 0.5f);
+    float v = referenceClampTexelCoord(t * tex.height() - 0.5f);
     i32 u0 = static_cast<i32>(std::floor(u));
     i32 v0 = static_cast<i32>(std::floor(v));
     float fu = u - u0, fv = v - v0;

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <list>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -341,19 +342,28 @@ class NaiveCache
     std::vector<std::list<Line>> sets;
 };
 
+/** Which earlier line a stream's repeated accesses return to. */
+enum class Repeat
+{
+    None,           //!< every access picks a fresh line
+    LastLine,       //!< the line just accessed (AAB...)
+    LineBeforeLast, //!< the line accessed before that one (ABAB...)
+};
+
 /**
  * Drive CacheModel and NaiveCache with the same seeded stream and
  * compare every access, then the totals. Most accesses land in a few
  * hot sets with three times as many candidate lines as ways, so LRU
  * evictions of clean and dirty lines happen well before the next
  * invalidateAll even in the 4096-line L2; the rest scatter over a
- * wide footprint. With @p repeatLines, about half the accesses
- * repeat the line just accessed, reads and writes alike, as the
- * horizontal texel pairs of a bilinear sample do.
+ * wide footprint. With @p repeat, about half the accesses, reads and
+ * writes alike, return to an earlier line: the last one, as the
+ * horizontal texel pairs of a bilinear sample do, or the one before
+ * it, as a sample's two texel rows alternate.
  */
 void
 expectMatchesNaive(const CacheParams &params, u64 seed,
-                   bool repeatLines = false)
+                   Repeat repeat = Repeat::None)
 {
     SCOPED_TRACE(params.name);
     CacheModel model(params);
@@ -364,23 +374,27 @@ expectMatchesNaive(const CacheParams &params, u64 seed,
     const int accesses = 20000;
     u64 dirtyEvictions = 0;
     u64 repeatWrites = 0;
-    Addr line = 0;
+    Addr line = 0, lineBefore = 0;
     for (int i = 0; i < accesses; i++) {
         if (i % 300 == 299) {
             model.invalidateAll();
             naive.invalidateAll();
         }
-        const bool repeat =
-            repeatLines && i > 0 && rng.nextBounded(2) == 0;
-        if (!repeat)
+        const bool repeats =
+            repeat != Repeat::None && i > 0 && rng.nextBounded(2) == 0;
+        if (!repeats) {
+            lineBefore = line;
             line = rng.nextBounded(4) != 0
                 ? rng.nextBounded(3 * params.ways) * numSets
                     + rng.nextBounded(hotSets)
                 : rng.nextBounded(1 << 20);
+        } else if (repeat == Repeat::LineBeforeLast) {
+            std::swap(line, lineBefore);
+        }
         const Addr addr =
             line * params.lineBytes + rng.nextBounded(params.lineBytes);
         const bool write = rng.nextBounded(3) == 0;
-        repeatWrites += repeat && write;
+        repeatWrites += repeats && write;
         const auto cls = static_cast<TrafficClass>(rng.nextBounded(4));
 
         const CacheAccessResult got = model.access(addr, write, cls);
@@ -407,7 +421,7 @@ expectMatchesNaive(const CacheParams &params, u64 seed,
     EXPECT_GT(naive.misses, naive.fills); // write misses allocate
     EXPECT_GT(dirtyEvictions, 0u);
     EXPECT_GT(naive.writebacks, dirtyEvictions); // invalidateAll too
-    if (repeatLines) {
+    if (repeat != Repeat::None) {
         EXPECT_GT(repeatWrites, 0u);
     }
 }
@@ -434,8 +448,24 @@ TEST(CacheOracle, RepeatedLinesMatchNaiveLru)
     // scanning the set. A repeated write must still dirty the line,
     // and a repeat right after invalidateAll must miss.
     const GpuConfig cfg;
-    expectMatchesNaive(cfg.textureCache, 0x4e9e47, true);
-    expectMatchesNaive(cfg.l2Cache, 0x4e9e48, true);
+    expectMatchesNaive(cfg.textureCache, 0x4e9e47, Repeat::LastLine);
+    expectMatchesNaive(cfg.l2Cache, 0x4e9e48, Repeat::LastLine);
     expectMatchesNaive(smallCache(16 * 64, 1, 64, "16set1way"), 0x4e9e49,
-                       true);
+                       Repeat::LastLine);
+}
+
+TEST(CacheOracle, ReturnsToTheLineBeforeLastMatchNaiveLru)
+{
+    // The memo also answers the line before last. A miss whose victim
+    // way holds a memo line must drop it: in the 1-way cache every
+    // conflicting miss evicts the last line, and in the 4-set 2-way
+    // cache a miss in the set of both memo lines evicts the older one.
+    // invalidateAll must clear both lines.
+    const GpuConfig cfg;
+    expectMatchesNaive(cfg.textureCache, 0xabab01, Repeat::LineBeforeLast);
+    expectMatchesNaive(cfg.l2Cache, 0xabab02, Repeat::LineBeforeLast);
+    expectMatchesNaive(smallCache(16 * 64, 1, 64, "16set1way"), 0xabab03,
+                       Repeat::LineBeforeLast);
+    expectMatchesNaive(smallCache(4 * 2 * 64, 2, 64, "4set2way"), 0xabab04,
+                       Repeat::LineBeforeLast);
 }

@@ -82,6 +82,10 @@ TEST(Color, Unorm8TableMatchesDivision)
         const Vec4 v = Color(c, c, c, c).toVec4();
         EXPECT_EQ(std::bit_cast<u32>(v.x), std::bit_cast<u32>(want)) << n;
         EXPECT_EQ(std::bit_cast<u32>(v.w), std::bit_cast<u32>(want)) << n;
+        // So does the sampler's division-free lane conversion.
+        volatile i32 lane = static_cast<i32>(n);
+        const Lanes4 l = unorm8Lanes(I32Lanes4{} + lane);
+        EXPECT_EQ(std::bit_cast<u32>(l[3]), std::bit_cast<u32>(want)) << n;
     }
 }
 

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <initializer_list>
+#include <limits>
 #include <string>
 
 #include "common/rng.hh"
@@ -318,8 +322,9 @@ struct MemoLog : FragmentMemoClient
     { calls.insert(calls.end(), {2, sig, color.packed()}); }
 };
 
-/** A seeded random frame of 1-12 triangles on a 40x24 screen: 3x2
- *  tiles, the right column and the bottom row clipped. */
+/** A seeded random frame of 1-12 triangles on a 40x24 screen. 16x16
+ *  tiles make 3x2 tiles, the right column and the bottom row
+ *  clipped. */
 struct OracleFrame
 {
     GpuConfig config;
@@ -327,8 +332,11 @@ struct OracleFrame
     std::vector<DrawCall> draws;
     BinnedFrame frame;
 
-    explicit OracleFrame(u64 seed)
+    OracleFrame(u64 seed, u32 tileWidth, u32 tileHeight, u32 textureCaches)
     {
+        config.tileWidth = tileWidth;
+        config.tileHeight = tileHeight;
+        config.numTextureCaches = textureCaches;
         config.scaleResolution(40, 24);
         textures.emplace_back(0, 32, 32, TexturePattern::Noise, seed);
         textures.emplace_back(1, 16, 64, TexturePattern::Atlas, seed);
@@ -422,43 +430,76 @@ packed(const std::vector<Color> &colors)
     return out;
 }
 
-} // namespace
-
-TEST(RasterOracle, RandomTilesMatchTheNaiveReference)
+/** Render @p tile with the fast path and the reference, each with a
+ *  logging memo client if @p withMemo, and compare colors, stats and
+ *  the memory and memo call streams. Returns the reference's stats. */
+TileRenderStats
+expectTileMatchesReference(const GpuConfig &config,
+                           const std::vector<Texture> &textures,
+                           const BinnedFrame &frame,
+                           const std::vector<DrawCall> &draws, TileId tile,
+                           bool withMemo)
 {
-    // Every tile of every frame, in order, on this one thread: the
-    // fast path's per-thread Depth Buffer carries the last tile's
-    // values into the next, which its lazy clear must never expose.
+    MemEventRecorder fastMem, refMem;
+    MemoLog fastMemo, refMemo;
+    std::vector<Color> fastColors, refColors;
+    const TileRenderStats fast =
+        TileRenderer(config, &fastMem, textures,
+                     withMemo ? &fastMemo : nullptr)
+            .renderTile(tile, frame, draws, Color(12, 34, 56, 78),
+                        fastColors);
+    const TileRenderStats ref = testutil::referenceRenderTile(
+        config, &refMem, textures, withMemo ? &refMemo : nullptr, tile,
+        frame, draws, Color(12, 34, 56, 78), refColors);
+    expectSameStats(fast, ref);
+    EXPECT_EQ(packed(fastColors), packed(refColors));
+    SinkLog fastLog, refLog;
+    fastMem.replay(fastLog);
+    refMem.replay(refLog);
+    EXPECT_EQ(fastLog.calls, refLog.calls);
+    EXPECT_EQ(fastMemo.calls, refMemo.calls);
+    return ref;
+}
+
+/**
+ * Every tile of 300 seeded frames, in order, on this one thread: the
+ * fast path's per-thread Depth Buffer carries the last tile's values
+ * into the next, which its lazy clear must never expose. Returns, per
+ * remainder r, how many rasterized spans (a primitive's bounding box
+ * clipped to a tile) were 4k + r pixels wide.
+ */
+std::array<u64, 4>
+expectRandomTilesMatchReference(u32 tileWidth, u32 tileHeight,
+                                u32 textureCaches)
+{
     u64 fragments = 0, reused = 0, killed = 0;
+    std::array<u64, 4> spanRemainders{};
     for (u64 seed = 1; seed <= 300; seed++) {
-        const OracleFrame f(seed);
+        const OracleFrame f(seed, tileWidth, tileHeight, textureCaches);
         for (bool withMemo : {false, true}) {
             for (TileId tile = 0; tile < f.config.numTiles(); tile++) {
                 SCOPED_TRACE("seed " + std::to_string(seed) + " tile "
                              + std::to_string(tile)
                              + (withMemo ? " memo" : ""));
-                MemEventRecorder fastMem, refMem;
-                MemoLog fastMemo, refMemo;
-                std::vector<Color> fastColors, refColors;
-                const TileRenderStats fast =
-                    TileRenderer(f.config, &fastMem, f.textures,
-                                 withMemo ? &fastMemo : nullptr)
-                        .renderTile(tile, f.frame, f.draws,
-                                    Color(12, 34, 56, 78), fastColors);
-                const TileRenderStats ref = testutil::referenceRenderTile(
-                    f.config, &refMem, f.textures,
-                    withMemo ? &refMemo : nullptr, tile, f.frame, f.draws,
-                    Color(12, 34, 56, 78), refColors);
-                expectSameStats(fast, ref);
-                EXPECT_EQ(packed(fastColors), packed(refColors));
-                SinkLog fastLog, refLog;
-                fastMem.replay(fastLog);
-                refMem.replay(refLog);
-                EXPECT_EQ(fastLog.calls, refLog.calls);
-                EXPECT_EQ(fastMemo.calls, refMemo.calls);
+                const TileRenderStats ref = expectTileMatchesReference(
+                    f.config, f.textures, f.frame, f.draws, tile, withMemo);
                 fragments += ref.fragmentsGenerated;
                 reused += ref.fragmentsMemoReused;
                 killed += ref.fragmentsEarlyZKilled;
+            }
+        }
+        const float tw = static_cast<float>(tileWidth);
+        for (TileId tile = 0; tile < f.config.numTiles(); tile++) {
+            const float tx0 = static_cast<float>(
+                tile % f.config.tilesX() * tileWidth);
+            for (const PrimRef &ref : f.frame.tileLists[tile]) {
+                const Primitive &p = f.frame.primitives[ref.primIndex];
+                float minX, minY, maxX, maxY;
+                p.bounds(minX, minY, maxX, maxY);
+                const float x0 = std::max(std::floor(minX), tx0);
+                const float x1 = std::min(std::ceil(maxX), tx0 + tw - 1);
+                if (p.signedArea2() != 0 && x0 <= x1)
+                    spanRemainders[static_cast<u32>(x1 - x0 + 1) % 4]++;
             }
         }
     }
@@ -466,6 +507,86 @@ TEST(RasterOracle, RandomTilesMatchTheNaiveReference)
     EXPECT_GT(fragments, 10000u);
     EXPECT_GT(reused, 0u);
     EXPECT_GT(killed, 0u);
+    return spanRemainders;
+}
+
+} // namespace
+
+TEST(RasterOracle, RandomTilesMatchTheNaiveReference)
+{
+    expectRandomTilesMatchReference(16, 16, 4);
+}
+
+TEST(RasterOracle, OddTileSizeMatchesTheNaiveReference)
+{
+    // 13x7 tiles on the 40x24 screen: 4x4 tiles, the right column 1
+    // pixel wide on screen and the bottom row 3 high. The kernel steps
+    // four pixels at a time, so a 13-pixel row ends in a 1-lane group;
+    // spans of every width mod 4 leave 1, 2, 3 or 4 live lanes in the
+    // last group. Tiles start at odd pixels, and 3 texture caches make
+    // the quad round-robin wrap at a non-power of two.
+    const std::array<u64, 4> spans =
+        expectRandomTilesMatchReference(13, 7, 3);
+    for (u32 r = 0; r < 4; r++)
+        EXPECT_GT(spans[r], 0u) << "no span of width 4k + " << r;
+}
+
+TEST(RasterOracle, NonFiniteTexcoordsMatchTheNaiveReference)
+{
+    // A NaN or infinite vertex texcoord interpolates to NaN or
+    // infinite uv (inf * 0 and inf - inf give NaN). The sampler reads
+    // NaN as texel coordinate 0 and clamps the rest to +-2^30, so no
+    // conversion leaves the i32 range, and the lane kernel agrees with
+    // the reference on colors, stats and texel addresses.
+    GpuConfig config;
+    config.scaleResolution(16, 16);
+    std::vector<Texture> textures;
+    textures.emplace_back(0, 32, 32, TexturePattern::Noise, 3);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    u64 texelFetches = 0;
+    for (float bad : {nan, inf, -inf, 6e10f}) {
+        for (ShaderKind kind : {ShaderKind::Textured, ShaderKind::TexModulate,
+                                ShaderKind::TexLit}) {
+            SCOPED_TRACE("texcoord " + std::to_string(bad) + " shader "
+                         + std::to_string(static_cast<int>(kind)));
+            std::vector<DrawCall> draws(2);
+            BinnedFrame frame;
+            frame.tileLists.assign(config.numTiles(), {});
+            for (u32 i = 0; i < 2; i++) {
+                draws[i].state.shader = kind;
+                draws[i].state.textureId = 0;
+                draws[i].state.depthTest = false;
+                Primitive p;
+                // Two halves of the tile, the second one mirrored.
+                const float x[3] = {0, 16, 0};
+                const float y[3] = {0, 0, 16};
+                for (u32 k = 0; k < 3; k++) {
+                    ShadedVertex &v = p.v[k];
+                    v.x = i ? 16 - x[k] : x[k];
+                    v.y = i ? 16 - y[k] : y[k];
+                    v.invW = 0.5f + 0.25f * k;
+                    v.texcoord = {0.1f * k, 0.2f * k};
+                    v.diffuse = 0.75f;
+                }
+                // One bad coordinate per primitive: u on the first, v
+                // (and u of another vertex) on the second.
+                if (i == 0) {
+                    p.v[1].texcoord.x = bad;
+                } else {
+                    p.v[0].texcoord.y = bad;
+                    p.v[2].texcoord.x = -bad;
+                }
+                p.drawIndex = i;
+                frame.primitives.push_back(p);
+                frame.tileLists[0].push_back({i, 0x200000000ull, 64});
+            }
+            const TileRenderStats ref = expectTileMatchesReference(
+                config, textures, frame, draws, 0, false);
+            texelFetches += ref.texelFetches;
+        }
+    }
+    EXPECT_GT(texelFetches, 0u);
 }
 
 TEST(FragmentSignature, ExcludesScreenCoordinates)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -153,6 +154,38 @@ TEST(Sampler, MatchesStdFloorReference)
         ASSERT_EQ(got.packed(), want.packed()) << "s=" << s << " t=" << t;
         ASSERT_EQ(fast.count, ref.count);
         ASSERT_EQ(fast.addr, ref.addr) << "s=" << s << " t=" << t;
+    }
+}
+
+TEST(Sampler, NonFiniteAndHugeCoordinatesClamp)
+{
+    // NaN reads as texel coordinate 0, and +-inf and +-6e10 clamp to
+    // +-2^30, a multiple of every texture size: each lands exactly on
+    // texel (0, 0) in that axis, with no conversion out of the i32
+    // range. Paired with ordinary coordinates, the other axis samples
+    // as usual. Colors and addresses match the reference.
+    const Texture tex(0, 32, 16, TexturePattern::Noise, 11);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<float> odd = {nan, -nan, inf, -inf, 6e10f, -6e10f};
+    std::vector<float> all = odd;
+    all.insert(all.end(), {0.37f, -2.61f, 0.5f / 32});
+    for (float s : all) {
+        for (float t : all) {
+            TexelFootprint fast, ref;
+            const Color got = Sampler::sample(tex, s, t, &fast);
+            const Color want = testutil::referenceSample(tex, s, t, &ref);
+            ASSERT_EQ(got.packed(), want.packed()) << "s=" << s << " t=" << t;
+            ASSERT_EQ(fast.addr, ref.addr) << "s=" << s << " t=" << t;
+        }
+    }
+    for (float s : odd) {
+        for (float t : odd) {
+            TexelFootprint touched;
+            EXPECT_EQ(Sampler::sample(tex, s, t, &touched), tex.texel(0, 0))
+                << "s=" << s << " t=" << t;
+            EXPECT_EQ(touched.addr[0], tex.texelAddr(0, 0));
+        }
     }
 }
 
