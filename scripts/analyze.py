@@ -39,13 +39,15 @@ Rules (ids are stable; see --list-rules):
                 unrelated dotted tokens (file names, bench record ids)
                 never false-positive; a file may also register its
                 own names locally (tests do).
-  csv-schema    The CSV/JSON run schema is written in three places:
-                csvColumns() and writeJsonRun() in src/sim/report.cc,
-                and the column-reference table in README.md (between
-                the analyze:csv-schema:begin/end markers). All three
-                must agree: every CSV column is a JSON key, JSON adds
-                only the declared identity extras (seed + geometry),
-                and the README documents exactly the CSV columns.
+  csv-schema    The CSV/JSON run schema is listed once in
+                src/sim/report.cc: the identity names in csvColumns(),
+                then the resultColumns table, which csvColumns(),
+                writeCsvRow and writeJsonRun all walk. The
+                column-reference table in README.md (between the
+                analyze:csv-schema:begin/end markers) must document
+                exactly those columns, and writeJsonRun may spell out
+                no key beyond them and the declared identity extras
+                (seed + geometry).
   raw-mutex     src/ synchronizes through regpu::Mutex/MutexLock
                 (common/thread_annotations.hh) so clang -Wthread-
                 safety can check lock discipline; a naked std::mutex/
@@ -106,8 +108,8 @@ ALLOWED_DEPS: Dict[str, Tuple[str, ...]] = {
             "scene", "te", "timing", "trace", "workloads"),
 }
 
-# writeJsonRun() may add these identity keys beyond the CSV columns
-# (run provenance: which scene/screen produced the numbers).
+# writeJsonRun() may spell out these identity keys beyond the CSV
+# columns (run provenance: which scene/screen produced the numbers).
 JSON_IDENTITY_EXTRAS = ("seed", "screenWidth", "screenHeight",
                         "tileWidth", "tileHeight")
 
@@ -121,6 +123,9 @@ HARNESS = "perfbench/regpu_bench.cc"
 # silent 0 hides there: the Section V table in bench/paper_figures.cc
 # and suite_cli's --assert-conservation gate both read stats by name.
 STAT_READER_DIRS = ("tests/", "bench/", "examples/")
+
+# The table of result columns in src/sim/report.cc.
+RESULT_TABLE = "resultColumns"
 
 CSV_TABLE_BEGIN = "analyze:csv-schema:begin"
 CSV_TABLE_END = "analyze:csv-schema:end"
@@ -405,21 +410,31 @@ def find_stat_name(tree: Tree) -> List[Violation]:
 # --- csv-schema -------------------------------------------------------------
 
 def parse_csv_columns(report: FileText) -> Tuple[int, List[str]]:
-    """csvColumns()'s initializer list: (line of the function, names).
-    Parsed from raw (string contents are the data here)."""
+    """The CSV columns in order: the identity names in csvColumns()'s
+    initializer list, then the name that opens each entry of the
+    resultColumns table; (line of the table, names), or (0, []) when
+    either is missing. Parsed from raw (string contents are the data
+    here)."""
     m = re.search(r"csvColumns\(\)\s*\{", report.raw)
-    if not m:
+    t = re.search(RESULT_TABLE + r"\[\]\s*=\s*\{", report.raw)
+    if not m or not t:
         return 0, []
     body = report.raw[m.end():]
     brace = body.find("};")
-    init = body[:brace if brace != -1 else len(body)]
-    return (line_of(report.raw, m.start()),
-            re.findall(r'"([^"]+)"', init))
+    identity = re.findall(r'"([^"]+)"',
+                          body[:brace if brace != -1 else len(body)])
+    table = report.raw[t.end():]
+    end = table.find("\n};")
+    names = re.findall(r'^\s*\{"(\w+)",',
+                       table[:end if end != -1 else len(table)], re.M)
+    if not identity or not names:
+        return 0, []
+    return line_of(report.raw, t.start()), identity + names
 
 
 def parse_json_keys(report: FileText) -> List[str]:
-    """Keys emitted by writeJsonRun(): every \\"key\\": fragment in
-    the file (only the JSON writer produces that shape)."""
+    """Keys spelled out by writeJsonRun(): every \\"key\\": fragment
+    in the file (only the JSON writer produces that shape)."""
     return re.findall(r'\\"(\w+)\\":', report.raw)
 
 
@@ -449,19 +464,12 @@ def find_csv_schema(tree: Tree) -> List[Violation]:
     if not cols or not json_keys:
         out.append(Violation(
             report.path, 1, "csv-schema",
-            "could not parse csvColumns() initializer and "
-            "writeJsonRun() keys; keep both in src/sim/report.cc in "
-            "their declarative shapes (or update scripts/analyze.py "
-            "alongside a refactor)"))
+            "could not parse csvColumns()'s identity names, the "
+            f"{RESULT_TABLE} table and writeJsonRun()'s keys; keep "
+            "them in src/sim/report.cc in their declarative shapes "
+            "(or update scripts/analyze.py alongside a refactor)"))
         return out
 
-    for col in cols:
-        if col not in json_keys:
-            out.append(Violation(
-                report.path, cols_line, "csv-schema",
-                f'CSV column "{col}" is missing from writeJsonRun(); '
-                "the CSV and JSON run schemas must carry the same "
-                "result fields"))
     for key in json_keys:
         if key not in cols and key not in JSON_IDENTITY_EXTRAS:
             out.append(Violation(
@@ -582,7 +590,8 @@ RULES: List[TreeRule] = [
              "exist in src/",
              find_stat_name),
     TreeRule("csv-schema",
-             "CSV columns == JSON keys (mod identity) == README table",
+             "report.cc's column table == README table; JSON spells "
+             "out only identity keys",
              find_csv_schema),
     TreeRule("raw-mutex",
              "src/ locks through annotated regpu::Mutex only",
@@ -648,21 +657,31 @@ def analyze_tree(tree: Tree) -> List[Violation]:
 # A minimal consistent repo the fixtures perturb: parsed schemas, one
 # stat of each flavor, clean layering.
 BASE_REPORT = (
+    'const ResultColumn resultColumns[] = {\n'
+    '    {"frames", [](auto &os, auto &r) { os << r.frames; }},\n'
+    '    {"energyPj",\n'
+    '     [](auto &os, auto &r) { writeJsonDouble(os, r.pj); }},\n'
+    '};\n'
     'const std::vector<std::string> &\n'
     'csvColumns()\n{\n'
-    '    static const std::vector<std::string> columns = {\n'
-    '        "workload", "frames",\n    };\n'
+    '    static const std::vector<std::string> columns = [] {\n'
+    '        std::vector<std::string> names = {"workload"};\n'
+    '        for (const ResultColumn &c : resultColumns)\n'
+    '            names.emplace_back(c.name);\n'
+    '        return names;\n    }();\n'
     '    return columns;\n}\n'
     'void writeJsonRun(std::ostream &os)\n{\n'
-    '    os << "\\"workload\\":\\"" << w;\n'
+    '    os << "{\\"workload\\":" << w;\n'
     '    os << ",\\"seed\\":" << seed;\n'
-    '    os << ",\\"frames\\":" << r.frames;\n}\n')
+    '    for (const ResultColumn &c : resultColumns)\n'
+    '        os << ",\\"" << c.name << "\\":";\n}\n')
 BASE_README = (
     "## Output schema\n\n"
     "<!-- analyze:csv-schema:begin -->\n"
     "| column | meaning |\n|---|---|\n"
     "| `workload` | scene name |\n"
     "| `frames` | frames simulated |\n"
+    "| `energyPj` | energy |\n"
     "<!-- analyze:csv-schema:end -->\n")
 BASE_TREE = {
     "src/sim/report.cc": BASE_REPORT,
@@ -726,13 +745,11 @@ FIXTURES = {
           '    + counter("metric.frames_per_s"); }\n'
           '// "raster.ghostInComment" is only prose\n')},
     ),
+    # A column dropped from the table is still in the README.
     "csv-schema": (
         {"src/sim/report.cc": BASE_REPORT.replace(
-            '    os << ",\\"frames\\":" << r.frames;\n', ''),
-         "README.md": BASE_README.replace(
-             "| `workload` | scene name |\n",
-             "| `workload` | scene name |\n"
-             "| `ghostColumn` | no longer emitted |\n")},
+            '    {"frames", [](auto &os, auto &r) { os << r.frames; }},\n',
+            '')},
         {},
     ),
     "raw-mutex": (
@@ -844,15 +861,40 @@ def self_test() -> int:
                if v.rule == "stat-name"],
           "markdown analyze:allow ignored")
 
-    # csv-schema direction 2: a JSON key outside columns + identity
-    # extras fires on report.cc.
+    # csv-schema: the dropped table column is named...
+    check(any(v.rule == "csv-schema" and "`frames`" in v.message
+              for v in analyze_tree(fixture_tree(
+                  FIXTURES["csv-schema"][0]))),
+          "column dropped from the table not named")
+    # ...a README column the table never had fires...
+    ghost = {"README.md": BASE_README.replace(
+        "| `workload` | scene name |\n",
+        "| `workload` | scene name |\n"
+        "| `ghostColumn` | no longer emitted |\n")}
+    check(any(v.rule == "csv-schema" and "ghostColumn" in v.message
+              for v in analyze_tree(fixture_tree(ghost))),
+          "ghost README column not caught")
+    # ...a table column the README lacks fires...
+    undocumented = {"README.md": BASE_README.replace(
+        "| `energyPj` | energy |\n", "")}
+    check(any(v.rule == "csv-schema" and "energyPj" in v.message
+              for v in analyze_tree(fixture_tree(undocumented))),
+          "undocumented table column not caught")
+    # ...and so does a hand-written JSON key outside the identity
+    # names and the declared identity extras.
     extra_key = {"src/sim/report.cc": BASE_REPORT.replace(
-        '    os << ",\\"frames\\":" << r.frames;\n',
-        '    os << ",\\"frames\\":" << r.frames;\n'
+        '    os << ",\\"seed\\":" << seed;\n',
+        '    os << ",\\"seed\\":" << seed;\n'
         '    os << ",\\"bonusKey\\":" << 1;\n')}
     check(any(v.rule == "csv-schema" and "bonusKey" in v.message
               for v in analyze_tree(fixture_tree(extra_key))),
           "undeclared JSON key not caught")
+    # A report.cc without the table cannot be checked: that fires too.
+    no_list = {"src/sim/report.cc": BASE_REPORT.replace(
+        "resultColumns[] = {", "columns[] = {")}
+    check(any(v.rule == "csv-schema" and "could not parse" in v.message
+              for v in analyze_tree(fixture_tree(no_list))),
+          "unparsable column table not reported")
     # ...and a missing README table is itself a violation.
     no_table = {"README.md": "## Output schema\n\nprose only\n"}
     check(any(v.rule == "csv-schema" and "lacks" in v.message

@@ -72,6 +72,12 @@ GpuConfig::validate() const
          {&vertexCache, &textureCache, &tileCache, &l2Cache,
           &colorBuffer, &depthBuffer})
         validateCacheGeometry(*p);
+    // A miss or writeback reaches the L2 as one line access
+    // (timing/cache.hh), which is exact only for equal line sizes.
+    for (const CacheParams *p : {&vertexCache, &textureCache})
+        if (p->lineBytes != l2Cache.lineBytes)
+            fatal("cache '", p->name, "': lineBytes (", p->lineBytes,
+                  ") must equal the L2's (", l2Cache.lineBytes, ")");
     if (numTextureCaches == 0)
         fatal("GpuConfig: numTextureCaches must be >= 1 (got 0)");
     if (dramBytesPerCycle == 0)

@@ -158,7 +158,8 @@ struct GpuConfig
      * LUT geometry with zero ways / fewer entries than ways / a
      * non-multiple entry count (MemoLut would compute `sig % 0`),
      * cache geometries with zero lineBytes / zero ways / a
-     * non-power-of-two set count, a zero-bandwidth DRAM
+     * non-power-of-two set count, a vertex or texture cache whose
+     * lineBytes differs from the L2's, a zero-bandwidth DRAM
      * (dramBytesPerCycle == 0 divides by zero in the transfer-cycle
      * math), a zero-depth DRAM queue, or zero texel MLP.
      */

@@ -10,7 +10,6 @@
 #define REGPU_COMMON_STATS_HH
 
 #include <map>
-#include <ostream>
 #include <string>
 #include <string_view>
 
@@ -62,8 +61,8 @@ class StatRegistry
     /**
      * Visit every counter in name order: fn(std::string_view, u64).
      * The read-only iteration surface exporters build on (the obs
-     * frame time-series, result merging, dumping) — no friend access,
-     * no full-map copies.
+     * frame time-series, result merging) — no friend access, no
+     * full-map copies.
      */
     template <typename Fn>
     void
@@ -71,29 +70,6 @@ class StatRegistry
     {
         for (const auto &[name, val] : counters)
             fn(std::string_view(name), val);
-    }
-
-    /** Visit counters whose name starts with @p prefix (name order;
-     *  O(log n) seek to the first match, then contiguous). */
-    template <typename Fn>
-    void
-    forEachCounterPrefixed(std::string_view prefix, Fn &&fn) const
-    {
-        for (auto it = counters.lower_bound(prefix);
-             it != counters.end()
-             && std::string_view(it->first)
-                        .substr(0, prefix.size()) == prefix;
-             ++it)
-            fn(std::string_view(it->first), it->second);
-    }
-
-    /** Dump all stats, sorted by name. */
-    void
-    dump(std::ostream &os) const
-    {
-        forEachCounter([&os](std::string_view name, u64 val) {
-            os << name << " " << val << "\n";
-        });
     }
 
     const std::map<std::string, u64, std::less<>> &allCounters() const

@@ -11,73 +11,43 @@
 namespace regpu
 {
 
-namespace
+void
+FrameTotals::addRendered(const TileRenderStats &ts)
 {
+    fragmentsGenerated += ts.fragmentsGenerated;
+    fragmentsEarlyZKilled += ts.fragmentsEarlyZKilled;
+    fragmentsShaded += ts.fragmentsShaded;
+    fragmentsMemoReused += ts.fragmentsMemoReused;
+    shaderInstructions += ts.shaderInstructions;
+    texelFetches += ts.texelFetches;
+    blendOps += ts.blendOps;
+    primitivesFetched += ts.primitivesFetched;
+    tilesRendered++;
+}
 
-/**
- * One frame's raster counters: every merged tile's TileRenderStats and
- * outcome, summed in the merge and charged once per frame.
- */
-struct RasterTotals
+void
+FrameTotals::charge(StatRegistry &stats) const
 {
-    u64 fragmentsGenerated = 0;
-    u64 fragmentsEarlyZKilled = 0;
-    u64 fragmentsShaded = 0;
-    u64 fragmentsMemoReused = 0;
-    u64 shaderInstructions = 0;
-    u64 texelFetches = 0;
-    u64 blendOps = 0;
-    u64 primitivesFetched = 0;
-    u64 tilesRendered = 0;
-    u64 tilesFlushed = 0;
-    u64 tileFlushesEliminated = 0;
-    u64 tilesEliminated = 0;
-    u64 falsePositives = 0;
-
-    void
-    addRendered(const TileRenderStats &ts)
-    {
-        fragmentsGenerated += ts.fragmentsGenerated;
-        fragmentsEarlyZKilled += ts.fragmentsEarlyZKilled;
-        fragmentsShaded += ts.fragmentsShaded;
-        fragmentsMemoReused += ts.fragmentsMemoReused;
-        shaderInstructions += ts.shaderInstructions;
-        texelFetches += ts.texelFetches;
-        blendOps += ts.blendOps;
-        primitivesFetched += ts.primitivesFetched;
-        tilesRendered++;
+    if (tilesRendered) {
+        stats.inc("raster.fragmentsGenerated", fragmentsGenerated);
+        stats.inc("raster.fragmentsEarlyZKilled", fragmentsEarlyZKilled);
+        stats.inc("raster.fragmentsShaded", fragmentsShaded);
+        stats.inc("raster.fragmentsMemoReused", fragmentsMemoReused);
+        stats.inc("raster.shaderInstructions", shaderInstructions);
+        stats.inc("raster.texelFetches", texelFetches);
+        stats.inc("raster.blendOps", blendOps);
+        stats.inc("raster.primitivesFetched", primitivesFetched);
+        stats.inc("raster.tilesRendered", tilesRendered);
     }
-
-    /** Charge each counter that a per-tile charge would have created:
-     *  the per-fragment ones when any tile rendered, each tile count
-     *  when it is non-zero. The registry's key set is then the one
-     *  per-tile charges leave. */
-    void
-    charge(StatRegistry &stats) const
-    {
-        if (tilesRendered) {
-            stats.inc("raster.fragmentsGenerated", fragmentsGenerated);
-            stats.inc("raster.fragmentsEarlyZKilled", fragmentsEarlyZKilled);
-            stats.inc("raster.fragmentsShaded", fragmentsShaded);
-            stats.inc("raster.fragmentsMemoReused", fragmentsMemoReused);
-            stats.inc("raster.shaderInstructions", shaderInstructions);
-            stats.inc("raster.texelFetches", texelFetches);
-            stats.inc("raster.blendOps", blendOps);
-            stats.inc("raster.primitivesFetched", primitivesFetched);
-            stats.inc("raster.tilesRendered", tilesRendered);
-        }
-        if (tilesFlushed)
-            stats.inc("raster.tilesFlushed", tilesFlushed);
-        if (tileFlushesEliminated)
-            stats.inc("raster.tileFlushesEliminated", tileFlushesEliminated);
-        if (tilesEliminated)
-            stats.inc("raster.tilesEliminated", tilesEliminated);
-        if (falsePositives)
-            stats.inc("re.falsePositives", falsePositives);
-    }
-};
-
-} // namespace
+    if (tilesFlushed)
+        stats.inc("raster.tilesFlushed", tilesFlushed);
+    if (tileFlushesEliminated)
+        stats.inc("raster.tileFlushesEliminated", tileFlushesEliminated);
+    if (tilesEliminated)
+        stats.inc("raster.tilesEliminated", tilesEliminated);
+    if (falsePositives)
+        stats.inc("re.falsePositives", falsePositives);
+}
 
 GraphicsPipeline::GraphicsPipeline(const GpuConfig &_config,
                                    StatRegistry &_stats, MemTraceSink *_mem,
@@ -164,8 +134,8 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
     // survives across tiles. Both produce the per-tile stream [render
     // traffic][flush], which keeps output bit-identical across
     // --tile-jobs values. The merge sums each tile's counts into the
-    // frame's RasterTotals, which reach the StatRegistry once, after
-    // the last merge.
+    // frame's FrameTotals, which reach the StatRegistry once, after
+    // the last merge, and return in FrameResult::totals.
     const u32 numTiles = config.numTiles();
     result.tiles.resize(numTiles);
     FragmentMemoClient *memo = hooks ? hooks->memoClient() : nullptr;
@@ -225,7 +195,7 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
             }
         };
 
-        RasterTotals totals;
+        FrameTotals &totals = result.totals;
         auto merge = [&](TileId tile) {
             TileTask &task = taskFor(tile);
             TileOutcome &out = result.tiles[tile];

@@ -84,7 +84,7 @@ class PipelineHooks
     // when --tile-jobs is 1 (the direct schedule).
 
     /** Nothing in src/ calls these two; they stay declared only
-     *  because perfbench's TimedHooks forwards them (ROADMAP item 8). */
+     *  because perfbench's TimedHooks forwards them (ROADMAP item 2). */
     virtual bool tileWorkersSafe() const { return false; }
     virtual bool queryRenderTile(TileId /*tile*/) { return true; }
 
@@ -125,12 +125,45 @@ struct TileOutcome
     TileRenderStats stats;      //!< zeros when skipped
 };
 
+/**
+ * One frame's raster counts: every merged tile's TileRenderStats and
+ * outcome, summed in the merge. The one source of these counts:
+ * charge() writes them to the StatRegistry once per frame, and the
+ * Simulator reads them from FrameResult::totals.
+ */
+struct FrameTotals
+{
+    u64 fragmentsGenerated = 0;
+    u64 fragmentsEarlyZKilled = 0;
+    u64 fragmentsShaded = 0;
+    u64 fragmentsMemoReused = 0;
+    u64 shaderInstructions = 0;
+    u64 texelFetches = 0;
+    u64 blendOps = 0;
+    u64 primitivesFetched = 0;
+    u64 tilesRendered = 0;
+    u64 tilesFlushed = 0;
+    u64 tileFlushesEliminated = 0;
+    u64 tilesEliminated = 0;   //!< skipped by the render decision
+    u64 falsePositives = 0;    //!< skipped although the colors changed
+
+    /** Add one rendered tile's stats. */
+    void addRendered(const TileRenderStats &ts);
+
+    /** Charge each counter that a per-tile charge would have created:
+     *  the per-fragment ones when any tile rendered, each tile count
+     *  when it is non-zero. The registry's key set is then the one
+     *  per-tile charges leave. The only writer of raster.*. */
+    void charge(StatRegistry &stats) const;
+};
+
 /** Per-frame simulation products. */
 struct FrameResult
 {
     u64 frameIndex = 0;
     BinnedFrame binned;
     std::vector<TileOutcome> tiles;
+    FrameTotals totals;
     u64 verticesShaded = 0;
     u64 trianglesAssembled = 0;
 };

@@ -40,6 +40,16 @@ writeJsonString(std::ostream &os, std::string_view s)
     os << '"';
 }
 
+void
+writeJsonDouble(std::ostream &os, double v)
+{
+    if (!std::isfinite(v))
+        v = 0.0;
+    char buf[64];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    os.write(buf, res.ptr - buf);
+}
+
 } // namespace obs_detail
 
 u64
@@ -170,17 +180,8 @@ ObsSink::threadCount() const
 namespace
 {
 
+using obs_detail::writeJsonDouble;
 using obs_detail::writeJsonString;
-
-void
-writeJsonDouble(std::ostream &os, double v)
-{
-    if (!std::isfinite(v))
-        v = 0.0;
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    os.write(buf, res.ptr - buf);
-}
 
 /** Trace-event timestamps are microseconds (double). */
 double

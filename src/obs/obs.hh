@@ -50,10 +50,15 @@ extern std::atomic<bool> enabledFlag;
  *  magnitude more events than the coarse spans, so opt-in. */
 extern std::atomic<bool> tileDetailFlag;
 
-/** Minimal JSON string writer shared by the obs emitters.
- *  Deliberately local to this layer: sim/report.hh's helpers sit
- *  above obs and must not be depended on downward. */
+/** Minimal JSON string writer (quotes, backslashes, control chars)
+ *  shared by the obs emitters and sim/report.cc's JSON writer. */
 void writeJsonString(std::ostream &os, std::string_view s);
+
+/** Write @p v as the shortest decimal that parses back to exactly the
+ *  same double (std::to_chars), whatever the stream's format state.
+ *  Non-finite values are written as 0: "inf" and "nan" are neither
+ *  JSON nor CSV numbers. Shared with sim/report.cc's CSV and JSON. */
+void writeJsonDouble(std::ostream &os, double v);
 } // namespace obs_detail
 
 /** True when the timeline sink is recording (the only cost every

@@ -1,9 +1,8 @@
 #include "sim/report.hh"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <iomanip>
+
+#include "obs/obs.hh"
 
 namespace regpu
 {
@@ -40,50 +39,70 @@ csvEscape(const std::string &s)
     return out;
 }
 
-/** Minimal JSON string escaping (quotes, backslashes, control
- *  chars) for writeJsonRun. */
-std::string
-jsonEscape(const std::string &s)
+using obs_detail::writeJsonDouble;
+using obs_detail::writeJsonString;
+
+struct ResultColumn
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
+    const char *name;
+    /** Writes the column's value for one run: counts as integers,
+     *  doubles in round-trip form. */
+    void (*print)(std::ostream &os, const SimResult &r);
+};
 
 /**
- * Append @p v to @p os as the shortest decimal string that parses
- * back to exactly the same double (std::to_chars round-trip
- * semantics). Locale-independent and immune to whatever
- * std::fixed/precision state the stream carries — the contract the
- * CSV and JSON artifacts rely on. Non-finite values are clamped to 0
- * ("inf"/"nan" are not valid JSON or CSV numbers).
+ * The result columns after the identity columns (workload, technique,
+ * frames), in schema order: the one list that csvColumns(),
+ * writeCsvRow and writeJsonRun walk. README.md's "Output schema"
+ * table documents each column, and scripts/analyze.py (rule
+ * csv-schema) keeps the two in step.
  */
-std::ostream &
-writeRoundTripDouble(std::ostream &os, double v)
-{
-    if (!std::isfinite(v))
-        v = 0.0;
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    os.write(buf, res.ptr - buf);
-    return os;
-}
+const ResultColumn resultColumns[] = {
+    {"geometryCycles", [](auto &os, auto &r) { os << r.geometryCycles; }},
+    {"rasterCycles", [](auto &os, auto &r) { os << r.rasterCycles; }},
+    {"totalCycles", [](auto &os, auto &r) { os << r.totalCycles(); }},
+    {"energyGpuPj",
+     [](auto &os, auto &r) { writeJsonDouble(os, r.energy.gpu()); }},
+    {"energyMemPj",
+     [](auto &os, auto &r) { writeJsonDouble(os, r.energy.memory()); }},
+    {"energyTotalPj",
+     [](auto &os, auto &r) { writeJsonDouble(os, r.energy.total()); }},
+    {"dramGeometryB",
+     [](auto &os, auto &r) { os << r.traffic[TrafficClass::Geometry]; }},
+    {"dramPrimitivesB",
+     [](auto &os, auto &r) { os << r.traffic[TrafficClass::Primitives]; }},
+    {"dramTexelsB",
+     [](auto &os, auto &r) { os << r.traffic[TrafficClass::Texels]; }},
+    {"dramColorsB",
+     [](auto &os, auto &r) { os << r.traffic[TrafficClass::Colors]; }},
+    {"dramReadB", [](auto &os, auto &r) { os << r.traffic.totalReads(); }},
+    {"dramWriteB", [](auto &os, auto &r) { os << r.traffic.totalWrites(); }},
+    {"dramWritebackB",
+     [](auto &os, auto &r) { os << r.traffic.totalWritebacks(); }},
+    {"tilesTotal", [](auto &os, auto &r) { os << r.tilesTotal; }},
+    {"tilesRendered", [](auto &os, auto &r) { os << r.tilesRendered; }},
+    {"tilesSkipped", [](auto &os, auto &r) { os << r.tilesSkippedByRe; }},
+    {"flushesElided",
+     [](auto &os, auto &r) { os << r.tileFlushesEliminated; }},
+    {"eqColorsEqInputs",
+     [](auto &os, auto &r) { os << r.tileClasses.equalColorsEqualInputs; }},
+    {"eqColorsDiffInputs",
+     [](auto &os, auto &r) { os << r.tileClasses.equalColorsDiffInputs; }},
+    {"diffColorsDiffInputs",
+     [](auto &os, auto &r) { os << r.tileClasses.diffColorsDiffInputs; }},
+    {"diffColorsEqInputs",
+     [](auto &os, auto &r) { os << r.tileClasses.diffColorsEqualInputs; }},
+    {"fragmentsShaded", [](auto &os, auto &r) { os << r.fragmentsShaded; }},
+    {"fragmentsMemoReused",
+     [](auto &os, auto &r) { os << r.fragmentsMemoReused; }},
+    {"signatureStallCycles",
+     [](auto &os, auto &r) { os << r.signatureStallCycles; }},
+    {"falsePositives", [](auto &os, auto &r) { os << r.reFalsePositives; }},
+    {"equalTilesConsecutivePct",
+     [](auto &os, auto &r) {
+         writeJsonDouble(os, r.equalTilesConsecutivePct);
+     }},
+};
 
 } // namespace
 
@@ -182,18 +201,13 @@ printComparison(std::ostream &os, const std::vector<SimResult> &results)
 const std::vector<std::string> &
 csvColumns()
 {
-    static const std::vector<std::string> columns = {
-        "workload", "technique", "frames", "geometryCycles",
-        "rasterCycles", "totalCycles", "energyGpuPj", "energyMemPj",
-        "energyTotalPj", "dramGeometryB", "dramPrimitivesB",
-        "dramTexelsB", "dramColorsB", "dramReadB", "dramWriteB",
-        "dramWritebackB", "tilesTotal", "tilesRendered",
-        "tilesSkipped", "flushesElided", "eqColorsEqInputs",
-        "eqColorsDiffInputs", "diffColorsDiffInputs",
-        "diffColorsEqInputs", "fragmentsShaded", "fragmentsMemoReused",
-        "signatureStallCycles", "falsePositives",
-        "equalTilesConsecutivePct",
-    };
+    static const std::vector<std::string> columns = [] {
+        std::vector<std::string> names = {"workload", "technique",
+                                          "frames"};
+        for (const ResultColumn &c : resultColumns)
+            names.emplace_back(c.name);
+        return names;
+    }();
     return columns;
 }
 
@@ -201,8 +215,8 @@ void
 writeJsonRun(std::ostream &os, const SimResult &r,
              const GpuConfig &config, u64 sceneSeed)
 {
-    os << "{";
-    os << "\"workload\":\"" << jsonEscape(r.workload) << "\"";
+    os << "{\"workload\":";
+    writeJsonString(os, r.workload);
     os << ",\"technique\":\"" << techniqueName(r.technique) << "\"";
     os << ",\"seed\":" << sceneSeed;
     os << ",\"frames\":" << r.frames;
@@ -210,38 +224,10 @@ writeJsonRun(std::ostream &os, const SimResult &r,
     os << ",\"screenHeight\":" << config.screenHeight;
     os << ",\"tileWidth\":" << config.tileWidth;
     os << ",\"tileHeight\":" << config.tileHeight;
-    os << ",\"geometryCycles\":" << r.geometryCycles;
-    os << ",\"rasterCycles\":" << r.rasterCycles;
-    os << ",\"totalCycles\":" << r.totalCycles();
-    writeRoundTripDouble(os << ",\"energyGpuPj\":", r.energy.gpu());
-    writeRoundTripDouble(os << ",\"energyMemPj\":", r.energy.memory());
-    writeRoundTripDouble(os << ",\"energyTotalPj\":",
-                         r.energy.total());
-    os << ",\"dramGeometryB\":" << r.traffic[TrafficClass::Geometry];
-    os << ",\"dramPrimitivesB\":" << r.traffic[TrafficClass::Primitives];
-    os << ",\"dramTexelsB\":" << r.traffic[TrafficClass::Texels];
-    os << ",\"dramColorsB\":" << r.traffic[TrafficClass::Colors];
-    os << ",\"dramReadB\":" << r.traffic.totalReads();
-    os << ",\"dramWriteB\":" << r.traffic.totalWrites();
-    os << ",\"dramWritebackB\":" << r.traffic.totalWritebacks();
-    os << ",\"tilesTotal\":" << r.tilesTotal;
-    os << ",\"tilesRendered\":" << r.tilesRendered;
-    os << ",\"tilesSkipped\":" << r.tilesSkippedByRe;
-    os << ",\"flushesElided\":" << r.tileFlushesEliminated;
-    os << ",\"eqColorsEqInputs\":"
-       << r.tileClasses.equalColorsEqualInputs;
-    os << ",\"eqColorsDiffInputs\":"
-       << r.tileClasses.equalColorsDiffInputs;
-    os << ",\"diffColorsDiffInputs\":"
-       << r.tileClasses.diffColorsDiffInputs;
-    os << ",\"diffColorsEqInputs\":"
-       << r.tileClasses.diffColorsEqualInputs;
-    os << ",\"fragmentsShaded\":" << r.fragmentsShaded;
-    os << ",\"fragmentsMemoReused\":" << r.fragmentsMemoReused;
-    os << ",\"signatureStallCycles\":" << r.signatureStallCycles;
-    os << ",\"falsePositives\":" << r.reFalsePositives;
-    writeRoundTripDouble(os << ",\"equalTilesConsecutivePct\":",
-                         r.equalTilesConsecutivePct);
+    for (const ResultColumn &c : resultColumns) {
+        os << ",\"" << c.name << "\":";
+        c.print(os, r);
+    }
     os << "}\n";
 }
 
@@ -254,27 +240,12 @@ writeCsvRow(std::ostream &os, const SimResult &r, bool header)
             os << cols[i] << (i + 1 < cols.size() ? "," : "\n");
     }
     os << csvEscape(r.workload) << "," << techniqueName(r.technique)
-       << "," << r.frames << "," << r.geometryCycles << ","
-       << r.rasterCycles << "," << r.totalCycles() << ",";
-    writeRoundTripDouble(os, r.energy.gpu()) << ",";
-    writeRoundTripDouble(os, r.energy.memory()) << ",";
-    writeRoundTripDouble(os, r.energy.total()) << ","
-       << r.traffic[TrafficClass::Geometry] << ","
-       << r.traffic[TrafficClass::Primitives] << ","
-       << r.traffic[TrafficClass::Texels] << ","
-       << r.traffic[TrafficClass::Colors] << ","
-       << r.traffic.totalReads() << "," << r.traffic.totalWrites()
-       << "," << r.traffic.totalWritebacks() << ","
-       << r.tilesTotal << ","
-       << r.tilesRendered << "," << r.tilesSkippedByRe << ","
-       << r.tileFlushesEliminated << ","
-       << r.tileClasses.equalColorsEqualInputs << ","
-       << r.tileClasses.equalColorsDiffInputs << ","
-       << r.tileClasses.diffColorsDiffInputs << ","
-       << r.tileClasses.diffColorsEqualInputs << ","
-       << r.fragmentsShaded << "," << r.fragmentsMemoReused << ","
-       << r.signatureStallCycles << "," << r.reFalsePositives << ",";
-    writeRoundTripDouble(os, r.equalTilesConsecutivePct) << "\n";
+       << "," << r.frames;
+    for (const ResultColumn &c : resultColumns) {
+        os << ",";
+        c.print(os, r);
+    }
+    os << "\n";
 }
 
 } // namespace regpu

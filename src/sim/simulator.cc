@@ -74,60 +74,15 @@ Simulator::run()
                            static_cast<i64>(config.technique));
         if (obsWriter)
             obsWriter->beginFrame(f);
-        // Per-frame aggregates for the obs counter tracks (cheap to
-        // fold alongside the classification the loop already does).
-        u64 frameTilesSkipped = 0;
-        u64 frameFlushesElided = 0;
-        u64 frameFragmentsShaded = 0;
 
         FrameResult fr = stepFrame(f);
-
-        // ---- Fig. 2 metric: equality vs the immediately previous
-        // frame, regardless of the swap chain. After the swap the front
-        // surface holds frame f and the back surface frame f-1, which
-        // frame f left untouched.
-        if (f > 0) {
-            for (TileId t = 0; t < numTiles; t++)
-                equalConsecutiveTiles +=
-                    pipe->frameBuffer().surfacesEqual(t) ? 1 : 0;
-            comparedConsecutiveTiles += numTiles;
-        }
-
-        // ---- Tile classification (vs the swap-chain comparison frame).
-        const bool haveComparison = f >= 2;
-        for (TileId t = 0; t < numTiles; t++) {
-            const TileOutcome &out = fr.tiles[t];
-            result.tilesTotal++;
-            if (out.rendered)
-                result.tilesRendered++;
-            else {
-                result.tilesSkippedByRe++;
-                frameTilesSkipped++;
-            }
-            if (out.rendered && !out.flushed) {
-                result.tileFlushesEliminated++;
-                frameFlushesElided++;
-            }
-
-            if (haveComparison) {
-                result.tileClasses.comparedTiles++;
-                // RE's decision. Baseline/TE/Memo runs have no input
-                // signatures, so their inputs never count as equal.
-                const bool equalInputs = re && !out.rendered;
-                if (out.equalColors && equalInputs)
-                    result.tileClasses.equalColorsEqualInputs++;
-                else if (out.equalColors && !equalInputs)
-                    result.tileClasses.equalColorsDiffInputs++;
-                else if (!out.equalColors && !equalInputs)
-                    result.tileClasses.diffColorsDiffInputs++;
-                else
-                    result.tileClasses.diffColorsEqualInputs++;
-            }
-
-            result.fragmentsShaded += out.stats.fragmentsShaded;
-            result.fragmentsMemoReused += out.stats.fragmentsMemoReused;
-            frameFragmentsShaded += out.stats.fragmentsShaded;
-        }
+        const FrameTotals &totals = fr.totals;
+        result.tilesTotal += numTiles;
+        result.tilesRendered += totals.tilesRendered;
+        result.tilesSkippedByRe += totals.tilesEliminated;
+        result.tileFlushesEliminated += totals.tileFlushesEliminated;
+        result.fragmentsShaded += totals.fragmentsShaded;
+        result.fragmentsMemoReused += totals.fragmentsMemoReused;
 
         // ---- Timing ------------------------------------------------------
         MemFrameSummary memSum = mem->endFrame();
@@ -151,42 +106,65 @@ Simulator::run()
             + memSum.dramDelta[TrafficClass::Texels]
             + memSum.dramDelta[TrafficClass::Colors]
             + memSum.dramDelta.writebacks(TrafficClass::Geometry);
-        u64 frameFragWork = 0;
-        for (const TileOutcome &out : fr.tiles)
-            frameFragWork += out.stats.fragmentsGenerated + 1;
+        // Each tile's activity is its fragments plus one; a skipped
+        // tile's stats are zeros.
+        const u64 frameFragWork = totals.fragmentsGenerated + numTiles;
         Cycles raster = 0;
-        Cycles texStallBudget = memSum.texelStallCycles;
+
+        // One pass over the tiles: the Fig. 2 compare against the
+        // immediately previous frame, the Fig. 15a classes against the
+        // swap-chain comparison frame, and the per-tile raster cycles.
+        // After the swap the front surface holds frame f and the back
+        // surface frame f-1, which frame f left untouched.
+        const bool haveComparison = f >= 2;
         for (TileId t = 0; t < numTiles; t++) {
             const TileOutcome &out = fr.tiles[t];
+            if (f > 0)
+                equalConsecutiveTiles +=
+                    pipe->frameBuffer().surfacesEqual(t) ? 1 : 0;
+
+            if (haveComparison) {
+                result.tileClasses.comparedTiles++;
+                // RE's decision: only RE skips tiles, so the other
+                // techniques' inputs never count as equal.
+                const bool equalInputs = !out.rendered;
+                if (out.equalColors && equalInputs)
+                    result.tileClasses.equalColorsEqualInputs++;
+                else if (out.equalColors && !equalInputs)
+                    result.tileClasses.equalColorsDiffInputs++;
+                else if (!out.equalColors && !equalInputs)
+                    result.tileClasses.diffColorsDiffInputs++;
+                else
+                    result.tileClasses.diffColorsEqualInputs++;
+            }
+
             if (!out.rendered) {
                 raster += cycles.skippedTileCycles();
                 if (obsWriter)
                     obsWriter->tileOutcome(t, false, false, 0);
                 continue;
             }
-            u64 share = frameFragWork
-                ? rasterBytes * (out.stats.fragmentsGenerated + 1)
-                  / frameFragWork
-                : 0;
-            Cycles texStall = frameFragWork
-                ? texStallBudget * (out.stats.fragmentsGenerated + 1)
-                  / frameFragWork
-                : 0;
+            const u64 work = out.stats.fragmentsGenerated + 1;
+            const u64 share = rasterBytes * work / frameFragWork;
+            const Cycles texStall =
+                memSum.texelStallCycles * work / frameFragWork;
             raster += cycles.tileCycles(out.stats, share, texStall);
             // The heatmap shares the cycle model's per-tile DRAM
             // attribution, so the picture matches what timing charges.
             if (obsWriter)
                 obsWriter->tileOutcome(t, true, out.flushed, share);
         }
+        if (f > 0)
+            comparedConsecutiveTiles += numTiles;
         result.rasterCycles += raster;
 
         // Per-frame counter tracks (Perfetto graphs these over time).
         obsCounter("re", "tilesSkippedPerFrame",
-                   static_cast<double>(frameTilesSkipped));
+                   static_cast<double>(totals.tilesEliminated));
         obsCounter("te", "flushesElidedPerFrame",
-                   static_cast<double>(frameFlushesElided));
+                   static_cast<double>(totals.tileFlushesEliminated));
         obsCounter("gpu", "fragmentsShadedPerFrame",
-                   static_cast<double>(frameFragmentsShaded));
+                   static_cast<double>(totals.fragmentsShaded));
         obsCounter("mem", "dramBytesPerFrame",
                    static_cast<double>(memSum.dramDelta.total()));
 

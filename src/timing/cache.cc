@@ -17,6 +17,8 @@ CacheModel::linkNextLevel(CacheModel *next)
 {
     REGPU_ASSERT(dram_ == nullptr,
                  "cache already linked to DRAM: ", params_.name);
+    REGPU_ASSERT(next->params_.lineBytes == params_.lineBytes,
+                 "linked caches must share a line size: ", params_.name);
     next_ = next;
 }
 
@@ -33,7 +35,7 @@ CacheModel::propagateWriteback(Addr lineAddr, TrafficClass cls)
 {
     writebackBytes_[static_cast<u8>(cls)] += params_.lineBytes;
     if (next_)
-        next_->accessRange(lineAddr, params_.lineBytes, true, cls);
+        next_->access(lineAddr, true, cls);
     else if (dram_)
         dram_->access(lineAddr, params_.lineBytes, cls,
                       DramDir::Writeback);
@@ -45,8 +47,7 @@ CacheModel::propagateFill(Addr lineAddr, TrafficClass cls)
     fills_++;
     fillBytes_[static_cast<u8>(cls)] += params_.lineBytes;
     if (next_)
-        return next_->accessRange(lineAddr, params_.lineBytes, false,
-                                  cls).latency;
+        return next_->access(lineAddr, false, cls).latency;
     if (dram_)
         return dram_->access(lineAddr, params_.lineBytes, cls,
                              DramDir::Read);

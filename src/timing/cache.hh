@@ -7,7 +7,8 @@
  * *level-linked*: each cache knows its downstream level (another
  * CacheModel, or the DramModel at the bottom) and propagates demand
  * misses and dirty writebacks itself, line by line, at the lines'
- * actual addresses and in its own lineBytes granularity. Each line
+ * actual addresses. Linked caches share one line size, so each miss
+ * or writeback is one access of the next level. Each line
  * remembers the TrafficClass that allocated it, so a dirty eviction
  * is charged to the stream that produced the data, not to whichever
  * stream happened to trigger the eviction.
@@ -54,9 +55,10 @@ class CacheModel
   public:
     explicit CacheModel(const CacheParams &params);
 
-    /** Link to the next cache level (e.g. an L1 over the L2). At most
-     *  one of next level / DRAM may be set; unlinked caches simply
-     *  absorb their misses (standalone unit tests). */
+    /** Link to the next cache level (e.g. an L1 over the L2), which
+     *  must have the same lineBytes. At most one of next level / DRAM
+     *  may be set; unlinked caches simply absorb their misses
+     *  (standalone unit tests). */
     void linkNextLevel(CacheModel *next);
 
     /** Link to main memory (the bottom of the hierarchy). */
@@ -122,14 +124,6 @@ class CacheModel
     u64 writebackBytes(TrafficClass c) const
     { return writebackBytes_[static_cast<u8>(c)]; }
 
-    void
-    resetStats()
-    {
-        accesses_ = hits_ = misses_ = writebacks_ = fills_ = 0;
-        for (int i = 0; i < 4; i++)
-            demandBytes_[i] = fillBytes_[i] = writebackBytes_[i] = 0;
-    }
-
   private:
     struct Way
     {
@@ -146,10 +140,10 @@ class CacheModel
 
     /** One-line access without demand accounting (range splitting
      *  counts the caller's exact byte demand once, at the entry
-     *  point, so conservation stays exact across differing line
-     *  sizes). Inline, so that a repeat of either of the last two
-     *  lines, about five in six texel fetches, costs a compare or two
-     *  and the hit's bookkeeping; any other line takes the
+     *  point, so conservation stays exact for ranges that are not
+     *  whole lines). Inline, so that a repeat of either of the last
+     *  two lines, about five in six texel fetches, costs a compare or
+     *  two and the hit's bookkeeping; any other line takes the
      *  out-of-line set scan. */
     CacheAccessResult
     accessLine(Addr addr, bool write, TrafficClass cls)

@@ -25,18 +25,6 @@
 namespace regpu
 {
 
-/** Cycle totals for one frame, split as in Fig. 14a. */
-struct FrameCycles
-{
-    Cycles geometry = 0;        //!< Geometry Pipeline + Tiling Engine
-    Cycles geometryStall = 0;   //!< added by Signature Unit overflow
-    Cycles raster = 0;          //!< Raster Pipeline over all tiles
-    Cycles rasterSkipOverhead = 0; //!< signature compares of skipped tiles
-
-    Cycles total() const
-    { return geometry + geometryStall + raster + rasterSkipOverhead; }
-};
-
 /**
  * Computes frame cycle counts from functional-run products.
  */

@@ -163,25 +163,6 @@ class DramModel
                    : 0.0;
     }
 
-    void
-    resetStats()
-    {
-        traffic_ = DramTraffic{};
-        busy_ = 0;
-        accesses_ = 0;
-        rowMisses_ = 0;
-        latencySum_ = 0;
-        rowLatencySum_ = 0;
-        // The contention clock restarts too: a measurement phase
-        // begun after a reset must not inherit the discarded phase's
-        // bus backlog (open-row state persists - rows stay open in
-        // the device regardless of what we measure).
-        now = 0;
-        busFreeAt = 0;
-        inflight.clear();
-        inflightHead = 0;
-    }
-
   private:
     const GpuConfig &config;
     DramTraffic traffic_;

@@ -8,10 +8,10 @@
  * Structure: per-stream *front-ends* (one L1 + its traffic class +
  * its demand counters) over a shared L2 -> DRAM *back-end*. The
  * caches are level-linked (timing/cache.hh), so misses and dirty
- * writebacks propagate line-by-line at their actual addresses with
- * each level's own lineBytes; MemSystem itself only routes streams
- * and keeps the boundary byte counters the conservation check
- * compares:
+ * writebacks propagate line-by-line at their actual addresses, in the
+ * one lineBytes that linked caches share; MemSystem itself only
+ * routes streams and keeps the boundary byte counters the
+ * conservation check compares:
  *
  *   vertex fetches   -> Vertex Cache  -> L2 -> DRAM   (Geometry)
  *   texel fetches    -> Texture Cache -> L2 -> DRAM   (Texels)
@@ -157,14 +157,6 @@ class MemSystem : public MemTraceSink
         for (const auto &fe : texels_)
             n += fe.cache.accesses();
         return n;
-    }
-
-    /** Total accesses across all on-chip caches (energy model). */
-    u64
-    totalCacheAccesses() const
-    {
-        return vertex_.cache.accesses() + tile_.cache.accesses()
-            + l2.accesses() + textureCacheAccesses();
     }
 
   private:

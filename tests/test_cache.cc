@@ -146,15 +146,6 @@ TEST(CacheModel, StreamingWorkingSetLargerThanCacheThrashes)
     EXPECT_EQ(c.misses(), 128u);
 }
 
-TEST(CacheModel, ResetStatsKeepsContents)
-{
-    CacheModel c(smallCache());
-    c.access(0x0, false);
-    c.resetStats();
-    EXPECT_EQ(c.accesses(), 0u);
-    EXPECT_TRUE(c.access(0x0, false).hit); // contents survived
-}
-
 // ---- Level-linking -------------------------------------------------------
 
 TEST(CacheModel, ReadMissRefillsFromNextLevelAtLineAddress)
@@ -171,6 +162,16 @@ TEST(CacheModel, ReadMissRefillsFromNextLevelAtLineAddress)
     EXPECT_EQ(l2.demandBytes(TrafficClass::Geometry), 64u);
     // The L2 now holds the line (probe with a fresh class to spot it).
     EXPECT_TRUE(l2.access(0x1000, false).hit);
+}
+
+TEST(CacheModelDeathTest, LinkedLevelsMustShareALineSize)
+{
+    // A miss or writeback reaches the next level as one line access,
+    // which covers the whole line only when both sizes are equal.
+    CacheModel l1(smallCache(1024, 2, 64, "l1"));
+    CacheModel l2(smallCache(4096, 4, 128, "l2"));
+    EXPECT_DEATH(l1.linkNextLevel(&l2),
+                 "linked caches must share a line size: l1");
 }
 
 TEST(CacheModel, OnlyMissingLinesRefill)

@@ -171,6 +171,21 @@ TEST(GpuConfigDeathTest, NonPowerOfTwoLineBytesIsFatal)
                 "lineBytes must be a power of two");
 }
 
+TEST(GpuConfigDeathTest, LinkedCacheLineSizeMustMatchL2)
+{
+    // 128 B lines in a valid geometry: each texture-cache miss would
+    // be forwarded as one 64 B L2 access, dropping half its bytes.
+    GpuConfig bad;
+    bad.textureCache.lineBytes = 128;
+    EXPECT_EXIT(bad.validate(), ::testing::ExitedWithCode(1),
+                "cache 'textureCache': lineBytes \\(128\\) must equal "
+                "the L2's \\(64\\)");
+    GpuConfig vertex;
+    vertex.vertexCache.lineBytes = 32;
+    EXPECT_EXIT(vertex.validate(), ::testing::ExitedWithCode(1),
+                "cache 'vertexCache': lineBytes \\(32\\) must equal");
+}
+
 TEST(GpuConfig, DefaultConfigValidates)
 {
     GpuConfig c;

@@ -197,20 +197,3 @@ TEST(DramModel, AverageLatencyAtLeastRowMinimum)
         cfg.dramQueueEntries * (64 / cfg.dramBytesPerCycle);
     EXPECT_LE(d.averageLatency(), cfg.dramMaxLatency + cap);
 }
-
-TEST(DramModel, ResetClearsEverything)
-{
-    GpuConfig cfg;
-    DramModel d(cfg);
-    for (int i = 0; i < 50; i++)
-        d.access(0x10000, 64, TrafficClass::Texels);
-    d.resetStats();
-    EXPECT_EQ(d.traffic().total(), 0u);
-    EXPECT_EQ(d.busyCycles(), 0u);
-    EXPECT_EQ(d.accesses(), 0u);
-    // The contention clock restarts with the stats: the first access
-    // of the new phase pays no queue delay from the discarded one
-    // (the row stays open - that is device state, not a statistic).
-    EXPECT_EQ(d.access(0x10080, 64, TrafficClass::Texels),
-              cfg.dramMinLatency);
-}

@@ -112,7 +112,11 @@ TEST(MemSystem, ZeroByteRangesAreNoOps)
     mem.parameterRead(0x3000, 0);
     mem.colorFlush(0x4000, 0);
     mem.colorRead(0x5000, 0);
-    EXPECT_EQ(mem.totalCacheAccesses(), 0u);
+    EXPECT_EQ(mem.vertexCacheRef().accesses(), 0u);
+    EXPECT_EQ(mem.tileCacheRef().accesses(), 0u);
+    EXPECT_EQ(mem.l2Ref().accesses(), 0u);
+    for (u32 i = 0; i < cfg.numTextureCaches; i++)
+        EXPECT_EQ(mem.textureCacheRef(i).accesses(), 0u);
     EXPECT_EQ(mem.dram().traffic().total(), 0u);
     EXPECT_EQ(mem.dram().accesses(), 0u);
     expectConserved(mem);

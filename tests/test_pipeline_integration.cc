@@ -12,6 +12,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "crc/crc32.hh"
 #include "gpu/pipeline.hh"
@@ -304,7 +305,8 @@ TEST_F(PipeFixture, GroundTruthShadowRenderDetectsWrongSkips)
 TEST_F(PipeFixture, RasterCountersAreEachFramesTileSums)
 {
     // The merge sums each tile's stats and outcome; renderFrame charges
-    // the sums once per frame. Every outcome occurs: rendered and
+    // the sums once per frame and returns them in FrameResult::totals.
+    // Every outcome occurs: rendered and
     // flushed, rendered with the flush elided, eliminated, and
     // eliminated although its colors changed (a false positive).
     u32 tex = scene->addTexture(
@@ -331,14 +333,26 @@ TEST_F(PipeFixture, RasterCountersAreEachFramesTileSums)
         { return tile % 4 != 0; }
     };
 
-    const std::vector<std::string> keys = {
-        "raster.fragmentsGenerated", "raster.fragmentsEarlyZKilled",
-        "raster.fragmentsShaded", "raster.fragmentsMemoReused",
-        "raster.shaderInstructions", "raster.texelFetches",
-        "raster.blendOps", "raster.primitivesFetched",
-        "raster.tilesRendered", "raster.tilesFlushed",
-        "raster.tileFlushesEliminated", "raster.tilesEliminated",
-        "re.falsePositives"};
+    // Each counter with the FrameTotals field that FrameResult::totals
+    // returns for it.
+    const std::vector<std::pair<std::string, u64 FrameTotals::*>> keys = {
+        {"raster.fragmentsGenerated", &FrameTotals::fragmentsGenerated},
+        {"raster.fragmentsEarlyZKilled",
+         &FrameTotals::fragmentsEarlyZKilled},
+        {"raster.fragmentsShaded", &FrameTotals::fragmentsShaded},
+        {"raster.fragmentsMemoReused", &FrameTotals::fragmentsMemoReused},
+        {"raster.shaderInstructions", &FrameTotals::shaderInstructions},
+        {"raster.texelFetches", &FrameTotals::texelFetches},
+        {"raster.blendOps", &FrameTotals::blendOps},
+        {"raster.primitivesFetched", &FrameTotals::primitivesFetched},
+        {"raster.tilesRendered", &FrameTotals::tilesRendered},
+        {"raster.tilesFlushed", &FrameTotals::tilesFlushed},
+        {"raster.tileFlushesEliminated",
+         &FrameTotals::tileFlushesEliminated},
+        {"raster.tilesEliminated", &FrameTotals::tilesEliminated},
+        {"re.falsePositives", &FrameTotals::falsePositives}};
+    // Every field of FrameTotals is in the list.
+    static_assert(sizeof(FrameTotals) == 13 * sizeof(u64));
     for (unsigned jobs : {1u, 4u}) {
         SCOPED_TRACE("tile-jobs " + std::to_string(jobs));
         StatRegistry reg;
@@ -349,7 +363,7 @@ TEST_F(PipeFixture, RasterCountersAreEachFramesTileSums)
         for (u64 f = 0; f < 4; f++) {
             SCOPED_TRACE("frame " + std::to_string(f));
             std::map<std::string, u64> before;
-            for (const std::string &k : keys)
+            for (const auto &[k, field] : keys)
                 before[k] = reg.counter(k);
             const FrameResult r = pipe.renderFrame(scene->emitFrame(f));
 
@@ -372,8 +386,10 @@ TEST_F(PipeFixture, RasterCountersAreEachFramesTileSums)
                 sums["raster.tilesEliminated"] += !t.rendered;
                 sums["re.falsePositives"] += !t.rendered && !t.equalColors;
             }
-            for (const std::string &k : keys)
+            for (const auto &[k, field] : keys) {
                 EXPECT_EQ(reg.counter(k) - before[k], sums[k]) << k;
+                EXPECT_EQ(r.totals.*field, sums[k]) << k;
+            }
         }
         for (const char *outcome :
              {"raster.tilesFlushed", "raster.tileFlushesEliminated",

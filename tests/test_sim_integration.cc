@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
@@ -16,7 +20,7 @@ namespace
 
 SimResult
 runAlias(const std::string &alias, Technique tech, u64 frames = 10,
-         u32 w = 208, u32 h = 128)
+         u32 w = 208, u32 h = 128, unsigned tileJobs = 1)
 {
     GpuConfig config;
     config.scaleResolution(w, h);
@@ -24,6 +28,7 @@ runAlias(const std::string &alias, Technique tech, u64 frames = 10,
     auto scene = makeBenchmark(alias, config);
     SimOptions opts;
     opts.frames = frames;
+    opts.tileJobs = tileJobs;
     Simulator sim(*scene, config, opts);
     return sim.run();
 }
@@ -226,4 +231,47 @@ TEST(SimIntegration, ResultsAreReproducible)
     EXPECT_EQ(a.tilesSkippedByRe, b.tilesSkippedByRe);
     EXPECT_EQ(a.traffic.total(), b.traffic.total());
     EXPECT_DOUBLE_EQ(a.energy.total(), b.energy.total());
+}
+
+TEST(SimIntegration, ResultCountsEqualTheirRegistryCounters)
+{
+    // SimResult's tile and fragment counts are read from each frame's
+    // FrameTotals, whose charge() writes the same sums to the registry;
+    // the overheads come from RE. Both must agree for every technique
+    // on both schedules.
+    const std::pair<const char *, u64 SimResult::*> fields[] = {
+        {"raster.tilesRendered", &SimResult::tilesRendered},
+        {"raster.tilesEliminated", &SimResult::tilesSkippedByRe},
+        {"raster.tileFlushesEliminated",
+         &SimResult::tileFlushesEliminated},
+        {"raster.fragmentsShaded", &SimResult::fragmentsShaded},
+        {"raster.fragmentsMemoReused", &SimResult::fragmentsMemoReused},
+        {"re.stallCycles", &SimResult::signatureStallCycles},
+        {"re.falsePositives", &SimResult::reFalsePositives}};
+    std::map<std::string, u64> seen;
+    for (const char *alias : {"ccs", "csn"}) {
+        for (Technique tech :
+             {Technique::Baseline, Technique::RenderingElimination,
+              Technique::TransactionElimination,
+              Technique::FragmentMemoization}) {
+            for (unsigned jobs : {1u, 4u}) {
+                SCOPED_TRACE(std::string(alias) + " "
+                             + techniqueName(tech) + " tile-jobs "
+                             + std::to_string(jobs));
+                const SimResult r =
+                    runAlias(alias, tech, 6, 208, 128, jobs);
+                for (const auto &[name, field] : fields) {
+                    EXPECT_EQ(r.*field, r.stats.counter(name)) << name;
+                    seen[name] += r.*field;
+                }
+            }
+        }
+    }
+    // Every count but the false positives occurred, so no pair above
+    // compares only zeros.
+    for (const auto &[name, field] : fields) {
+        if (std::string(name) != "re.falsePositives") {
+            EXPECT_GT(seen[name], 0u) << name;
+        }
+    }
 }

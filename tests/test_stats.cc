@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,17 +46,6 @@ TEST(StatRegistry, ResetClearsEverything)
     EXPECT_EQ(s.counter("b"), 0u);
 }
 
-TEST(StatRegistry, DumpSortedByName)
-{
-    StatRegistry s;
-    s.inc("zeta", 1);
-    s.inc("alpha", 2);
-    std::ostringstream os;
-    s.dump(os);
-    std::string text = os.str();
-    EXPECT_LT(text.find("alpha"), text.find("zeta"));
-}
-
 TEST(StatRegistry, CopySnapshotIsIndependent)
 {
     StatRegistry s;
@@ -92,30 +80,4 @@ TEST(StatRegistry, ForEachVisitsInNameOrder)
     EXPECT_EQ(names,
               (std::vector<std::string>{"alpha", "mid", "zeta"}));
     EXPECT_EQ(sum, 6u);
-}
-
-TEST(StatRegistry, ForEachPrefixedSelectsSubsystem)
-{
-    StatRegistry s;
-    s.inc("re.tilesSkipped", 7);
-    s.inc("re.signatureHits", 3);
-    s.inc("ren.other", 1);   // shares a prefix of the prefix
-    s.inc("te.flushes", 5);
-
-    std::vector<std::string> names;
-    s.forEachCounterPrefixed(
-        "re.", [&](std::string_view name, u64 value) {
-            names.emplace_back(name);
-            (void)value;
-        });
-    EXPECT_EQ(names, (std::vector<std::string>{"re.signatureHits",
-                                               "re.tilesSkipped"}));
-
-    // A prefix past every name visits nothing (lower_bound seek).
-    names.clear();
-    s.forEachCounterPrefixed(
-        "zz.", [&](std::string_view name, u64) {
-            names.emplace_back(name);
-        });
-    EXPECT_TRUE(names.empty());
 }
