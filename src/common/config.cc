@@ -58,15 +58,32 @@ validateCacheGeometry(const CacheParams &p)
     return numSets;
 }
 
+std::string
+screenSizeError(u32 screenWidth, u32 screenHeight, u32 tileWidth,
+                u32 tileHeight)
+{
+    auto error = [&](const auto &...broken) {
+        return log_detail::concat(broken..., ": screen ", screenWidth, "x",
+                                  screenHeight, ", tiles ", tileWidth, "x",
+                                  tileHeight);
+    };
+    if (screenWidth == 0 || screenHeight == 0 || tileWidth == 0
+        || tileHeight == 0)
+        return error("zero screen or tile size");
+    if (tileWidth > screenWidth || tileHeight > screenHeight)
+        return error("tile larger than the screen");
+    if (static_cast<u64>(screenWidth) * screenHeight > maxScreenPixels)
+        return error("screen of more than ", maxScreenPixels, " pixels");
+    return {};
+}
+
 void
 GpuConfig::validate() const
 {
-    if (tileWidth == 0 || tileHeight == 0)
-        fatal("GpuConfig: tile dimensions must be non-zero (got ",
-              tileWidth, "x", tileHeight, ")");
-    if (screenWidth == 0 || screenHeight == 0)
-        fatal("GpuConfig: screen dimensions must be non-zero (got ",
-              screenWidth, "x", screenHeight, ")");
+    const std::string sizes =
+        screenSizeError(screenWidth, screenHeight, tileWidth, tileHeight);
+    if (!sizes.empty())
+        fatal("GpuConfig: ", sizes);
     validateMemoLutGeometry(memoLutEntries, memoLutWays, "GpuConfig");
     for (const CacheParams *p :
          {&vertexCache, &textureCache, &tileCache, &l2Cache,

@@ -57,6 +57,19 @@ void validateMemoLutGeometry(u32 entries, u32 ways,
  */
 u64 validateCacheGeometry(const CacheParams &p);
 
+/** The most pixels a screen may have: 2^26, about twice 8K UHD. */
+constexpr u64 maxScreenPixels = u64{1} << 26;
+
+/**
+ * The screen and tile size rule, shared by GpuConfig::validate and the
+ * trace reader's META check so that capture and replay accept the same
+ * sizes: no size is zero, a tile is no wider or taller than the
+ * screen, and the screen has at most maxScreenPixels pixels.
+ * @return the diagnostic of the first broken part, empty when none is
+ */
+std::string screenSizeError(u32 screenWidth, u32 screenHeight,
+                            u32 tileWidth, u32 tileHeight);
+
 /**
  * Full simulation configuration. Defaults reproduce Table I.
  */

@@ -106,10 +106,12 @@ PolygonListBuilder::binDrawcall(const DrawCall &draw,
                                 const std::vector<Primitive> &prims,
                                 BinnedFrame &frame)
 {
+    // Charged once per drawcall, after the loop.
+    u64 offscreen = 0, binned = 0, overlaps = 0;
     for (const Primitive &prim : prims) {
         std::vector<TileId> tiles = overlappedTiles(prim);
         if (tiles.empty()) {
-            stats.inc("binning.primitivesOffscreen");
+            offscreen++;
             continue;
         }
 
@@ -132,11 +134,19 @@ PolygonListBuilder::binDrawcall(const DrawCall &draw,
         for (TileId t : tiles)
             frame.tileLists[t].push_back({primIndex, addr, payload});
 
-        stats.inc("binning.primitivesBinned");
-        stats.inc("binning.tileOverlaps", tiles.size());
+        binned++;
+        overlaps += tiles.size();
 
         if (observer)
             observer(prim, draw, tiles);
+    }
+    // As per-primitive charges would have left them: a counter exists
+    // once something was counted.
+    if (offscreen)
+        stats.inc("binning.primitivesOffscreen", offscreen);
+    if (binned) {
+        stats.inc("binning.primitivesBinned", binned);
+        stats.inc("binning.tileOverlaps", overlaps);
     }
 }
 

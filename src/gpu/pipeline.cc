@@ -1,5 +1,7 @@
 #include "gpu/pipeline.hh"
 
+#include <algorithm>
+#include <cstring>
 #include <optional>
 #include <thread>
 
@@ -140,6 +142,63 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
     result.tiles.resize(numTiles);
     FragmentMemoClient *memo = hooks ? hooks->memoClient() : nullptr;
     const bool direct = tileJobs <= 1;
+
+    // Records of each tile's last render (docs/ARCHITECTURE.md, "Phase
+    // 1"). Kept only where a tile can be skipped and its ground truth
+    // is asked for, and never next to a memo client, whose lookup
+    // table a render's colors would depend on. The key of a render is
+    // everything renderTile reads besides the tile and the pipeline's
+    // constants (the GpuConfig and the immutable textures): the clear
+    // color and, per listed primitive in order, its PrimInputs.
+    const bool recording = hooks && !memo && groundTruth;
+    const bool recordsValid = recording && prevInputsFrame
+        && *prevInputsFrame + 1 == frameCounter;
+    if (recording) {
+        records.resize(numTiles);
+        inputs.resize(result.binned.primitives.size());
+        for (std::size_t i = 0; i < inputs.size(); i++) {
+            const Primitive &prim = result.binned.primitives[i];
+            const PipelineState &state =
+                commands.draws[prim.drawIndex].state;
+            PrimInputs &in = inputs[i];
+            std::copy_n(prim.v, 3, in.v);
+            in.tint = state.uniforms.tint;
+            in.shader = static_cast<u32>(state.shader);
+            in.textureId = state.textureId;
+            in.blendMode = static_cast<u32>(state.blendMode);
+            in.depthTestWrite = u32{state.depthTest}
+                | u32{state.depthWrite} << 1;
+        }
+    } else {
+        records.clear();
+        prevInputsFrame.reset();
+    }
+    // Whether tile t's record holds the key of this frame's render of
+    // t: written last frame, over inputs equal bit for bit.
+    auto recordMatches = [&](TileId tile) {
+        const TileRecord &rec = records[tile];
+        const std::vector<PrimRef> &list = result.binned.tileLists[tile];
+        if (!recordsValid || rec.frame + 1 != frameCounter
+            || rec.clearColor != commands.clearColor
+            || rec.prims.size() != list.size())
+            return false;
+        for (std::size_t i = 0; i < list.size(); i++)
+            if (std::memcmp(&prevInputs[rec.prims[i]],
+                            &inputs[list[i].primIndex],
+                            sizeof(PrimInputs)) != 0)
+                return false;
+        return true;
+    };
+    // Key tile t's record with this frame's render of t.
+    auto writeRecordKey = [&](TileId tile) {
+        TileRecord &rec = records[tile];
+        const std::vector<PrimRef> &list = result.binned.tileLists[tile];
+        rec.frame = frameCounter;
+        rec.clearColor = commands.clearColor;
+        rec.prims.resize(list.size());
+        for (std::size_t i = 0; i < list.size(); i++)
+            rec.prims[i] = list[i].primIndex;
+    };
     {
         // Scoped so the per-frame tile tasks are freed inside the
         // raster span, before frameEnd(), which ends the raster phase
@@ -158,6 +217,7 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
             TileRenderStats renderStats;
             u32 preparedFlush = 0;
             bool equalColors = false;
+            bool fromRecord = false;  //!< ground truth from the record
         };
         std::vector<TileTask> tasks(direct ? 1u : numTiles);
         auto taskFor = [&](TileId tile) -> TileTask & {
@@ -182,16 +242,29 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                 // Per-tile-disjoint Back Buffer regions, written only
                 // by this tile's own (strictly later) merge: safe.
                 task.equalColors = fb.tileEquals(tile, task.colors);
+                if (recording) {
+                    records[tile].colors = task.colors;
+                    writeRecordKey(tile);
+                }
                 if (hooks)
                     task.preparedFlush =
                         hooks->prepareFlushTile(tile, task.colors);
             } else if (groundTruth) {
-                // Shadow render for ground truth: no memory traffic,
-                // and its stats are dropped.
-                TileRenderer(config, nullptr, textures)
-                    .renderTile(tile, result.binned, commands.draws,
-                                commands.clearColor, task.colors);
-                task.equalColors = fb.tileEquals(tile, task.colors);
+                // Ground truth: the colors the tile would have
+                // rendered, compared with the Back Buffer. A shadow
+                // render has no memory traffic and its stats are
+                // dropped, so a record whose key matches holds
+                // exactly the colors it would produce.
+                task.fromRecord = recording && recordMatches(tile);
+                std::vector<Color> &colors =
+                    recording ? records[tile].colors : task.colors;
+                if (!task.fromRecord)
+                    TileRenderer(config, nullptr, textures)
+                        .renderTile(tile, result.binned, commands.draws,
+                                    commands.clearColor, colors);
+                if (recording)
+                    writeRecordKey(tile);
+                task.equalColors = fb.tileEquals(tile, colors);
             }
         };
 
@@ -231,11 +304,17 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                     out.equalColors = task.equalColors;
                     if (!out.equalColors)
                         totals.falsePositives++;
+                    result.groundTruthFromRecord += task.fromRecord;
                 }
             }
         };
 
         runOrdered(numTiles, tileJobs, phase1, merge, "tileWorker");
+        // Every record now keys into this frame's inputs.
+        if (recording) {
+            std::swap(inputs, prevInputs);
+            prevInputsFrame = frameCounter;
+        }
         // Once per frame, after the last merge and before frameEnd():
         // Fragment Memoization's frameEnd reads this frame's raster.*
         // deltas.

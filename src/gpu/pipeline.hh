@@ -9,6 +9,7 @@
 #define REGPU_GPU_PIPELINE_HH
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/config.hh"
@@ -166,6 +167,10 @@ struct FrameResult
     FrameTotals totals;
     u64 verticesShaded = 0;
     u64 trianglesAssembled = 0;
+    /** Skipped tiles whose ground truth came from the tile's record
+     *  instead of a shadow render. A host-side count: no StatRegistry
+     *  counter and no ledger column. */
+    u64 groundTruthFromRecord = 0;
 };
 
 /**
@@ -195,7 +200,9 @@ class GraphicsPipeline
      * @param commands  the frame's drawcalls
      * @param groundTruth when true, skipped tiles are shadow-rendered
      *        (no cost charged) so TileOutcome::equalColors is exact
-     *        for every tile - needed by Fig. 15a and correctness tests
+     *        for every tile - needed by Fig. 15a and correctness tests.
+     *        A skipped tile whose inputs equal its record's takes the
+     *        record's colors instead of a shadow render.
      */
     FrameResult renderFrame(const FrameCommands &commands,
                             bool groundTruth = true);
@@ -204,11 +211,51 @@ class GraphicsPipeline
     const GpuConfig &gpuConfig() const { return config; }
 
   private:
+    /** Everything renderTile reads of one listed primitive besides
+     *  the tile id and the pipeline's constants, as 4-byte fields
+     *  only, so memcmp compares exact bits. */
+    struct PrimInputs
+    {
+        ShadedVertex v[3];
+        Vec4 tint;
+        u32 shader;
+        i32 textureId;
+        u32 blendMode;
+        u32 depthTestWrite;  //!< depthTest | depthWrite << 1
+    };
+    static_assert(sizeof(PrimInputs)
+                      == 3 * sizeof(ShadedVertex) + sizeof(Vec4) + 16,
+                  "no padding bytes");
+
+    /**
+     * A tile's last render: its colors and the key of what it read,
+     * the clear color and its PrimRef list as indices into the
+     * inputs of the frame that wrote it. Valid only in the next frame,
+     * while those inputs are prevInputs.
+     */
+    struct TileRecord
+    {
+        u64 frame = 0;          //!< frameCounter of the writing frame
+        Color clearColor;
+        std::vector<u32> prims;
+        std::vector<Color> colors;
+    };
+
     const GpuConfig &config;
     StatRegistry &stats;
     MemTraceSink *mem;
     const std::vector<Texture> &textures;
     PipelineHooks *hooks = nullptr;
+
+    // Per-tile records (docs/ARCHITECTURE.md, "Phase 1"): written
+    // only by a tile's own phase 1, and only with hooks attached, no
+    // memo client and groundTruth. inputs is this frame's PrimInputs
+    // per binned primitive, prevInputs the previous frame's, built
+    // before and swapped after the tile loop.
+    std::vector<TileRecord> records;
+    std::vector<PrimInputs> inputs;
+    std::vector<PrimInputs> prevInputs;
+    std::optional<u64> prevInputsFrame;  //!< frame prevInputs came from
 
     GeometryPipeline geometry;
     PolygonListBuilder plb;

@@ -36,7 +36,9 @@ enum class TexturePattern
 };
 
 /**
- * A 2D RGBA8 texture with power-of-two dimensions.
+ * A 2D RGBA8 texture with power-of-two dimensions. Immutable once
+ * built: the pipeline's per-tile records of past renders rely on
+ * texels never changing.
  */
 class Texture
 {
@@ -98,13 +100,6 @@ class Texture
 
     /** Raw row-major texel storage (trace capture serialises this). */
     const std::vector<Color> &texelData() const { return texels; }
-
-    /** Overwrite a texel (tests / dynamic-texture experiments). */
-    void
-    setTexel(u32 u, u32 v, Color c)
-    {
-        texels[(v & (height_ - 1)) * width_ + (u & (width_ - 1))] = c;
-    }
 
   private:
     u32 id_;

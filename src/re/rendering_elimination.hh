@@ -121,7 +121,7 @@ class RenderingElimination : public PipelineHooks
             / config.numVertexProcessors;
         unit.onPrimitive({attrs, attrLen}, tiles,
                          std::max(plbCycles, shadeCycles));
-        stats.inc("re.primitiveBlocksSigned");
+        primitiveBlocksSigned++;
     }
 
     bool
@@ -131,9 +131,9 @@ class RenderingElimination : public PipelineHooks
             return true;
         bool matched = false;
         bool comparable = buffer.compare(tile, matched);
-        stats.inc("re.signatureCompares");
+        signatureCompares++;
         if (comparable && matched) {
-            stats.inc("re.tilesSkipped");
+            tilesSkipped++;
             if (obsTileDetail())
                 obsInstant("re", "tileSkipped", "tile",
                            static_cast<i64>(tile));
@@ -153,6 +153,15 @@ class RenderingElimination : public PipelineHooks
         stats.inc("re.sigBufferAccesses", a.sigBufferAccesses);
         stats.inc("re.otPushes", a.otPushes);
         stats.inc("re.bitmapAccesses", a.bitmapAccesses);
+        // Each per-item count as its per-item charges would have left
+        // it: a counter exists once something was counted.
+        if (primitiveBlocksSigned)
+            stats.inc("re.primitiveBlocksSigned", primitiveBlocksSigned);
+        if (signatureCompares)
+            stats.inc("re.signatureCompares", signatureCompares);
+        if (tilesSkipped)
+            stats.inc("re.tilesSkipped", tilesSkipped);
+        primitiveBlocksSigned = signatureCompares = tilesSkipped = 0;
     }
 
     /** Geometry-stall cycles of the current frame (timing model). */
@@ -164,6 +173,10 @@ class RenderingElimination : public PipelineHooks
     SignatureBuffer buffer;
     SignatureUnit unit;
     bool enabled = true;
+    // This frame's per-item counts, charged in frameEnd.
+    u64 primitiveBlocksSigned = 0;
+    u64 signatureCompares = 0;
+    u64 tilesSkipped = 0;
 };
 
 } // namespace regpu

@@ -161,6 +161,8 @@ Simulator::run()
         // Per-frame counter tracks (Perfetto graphs these over time).
         obsCounter("re", "tilesSkippedPerFrame",
                    static_cast<double>(totals.tilesEliminated));
+        obsCounter("re", "groundTruthFromRecordPerFrame",
+                   static_cast<double>(fr.groundTruthFromRecord));
         obsCounter("te", "flushesElidedPerFrame",
                    static_cast<double>(totals.tileFlushesEliminated));
         obsCounter("gpu", "fragmentsShadedPerFrame",

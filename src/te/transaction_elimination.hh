@@ -86,9 +86,9 @@ class TransactionElimination : public PipelineHooks
         const bool comparable = buffer.readComparison(tile, prevSig);
         buffer.write(tile, sig);
 
-        stats.inc("te.signatureCompares");
+        signatureCompares++;
         if (comparable && prevSig == sig) {
-            stats.inc("te.flushesEliminated");
+            flushesEliminated++;
             return false;
         }
         return true;
@@ -112,6 +112,13 @@ class TransactionElimination : public PipelineHooks
         const u64 total = buffer.accesses();
         stats.inc("te.sigBufferAccesses", total - accessesCharged);
         accessesCharged = total;
+        // As per-tile charges would have left them: a counter exists
+        // once something was counted.
+        if (signatureCompares)
+            stats.inc("te.signatureCompares", signatureCompares);
+        if (flushesEliminated)
+            stats.inc("te.flushesEliminated", flushesEliminated);
+        signatureCompares = flushesEliminated = 0;
     }
 
   private:
@@ -119,6 +126,9 @@ class TransactionElimination : public PipelineHooks
     SignatureBuffer buffer;
     u64 lutAccessesThisFrame = 0;
     u64 accessesCharged = 0;
+    // This frame's per-tile counts, charged in frameEnd.
+    u64 signatureCompares = 0;
+    u64 flushesEliminated = 0;
 };
 
 } // namespace regpu

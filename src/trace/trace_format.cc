@@ -1,5 +1,6 @@
 #include "trace/trace_format.hh"
 
+#include "common/config.hh"
 #include "crc/crc32.hh"
 #include "gpu/shader.hh"
 
@@ -42,13 +43,14 @@ deserializeMeta(ByteCursor &in)
     meta.tileWidth = in.getU32();
     meta.tileHeight = in.getU32();
     meta.textureCount = in.getU32();
-    // A replay adopts this geometry, and GpuConfig::validate() would
-    // fatal() on a zero size in the Simulator, on a worker thread.
-    if (meta.screenWidth == 0 || meta.screenHeight == 0
-        || meta.tileWidth == 0 || meta.tileHeight == 0)
-        in.fail("zero screen or tile size (screen ", meta.screenWidth, "x",
-                meta.screenHeight, ", tiles ", meta.tileWidth, "x",
-                meta.tileHeight, ")");
+    // A replay adopts this geometry. GpuConfig::validate() applies the
+    // same rule, but in the Simulator, on a worker thread, and only
+    // after the sizes were trusted.
+    const std::string sizes = screenSizeError(
+        meta.screenWidth, meta.screenHeight, meta.tileWidth,
+        meta.tileHeight);
+    if (!sizes.empty())
+        in.fail(sizes);
     return meta;
 }
 

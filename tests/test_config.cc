@@ -186,6 +186,26 @@ TEST(GpuConfigDeathTest, LinkedCacheLineSizeMustMatchL2)
                 "cache 'vertexCache': lineBytes \\(32\\) must equal");
 }
 
+TEST(GpuConfig, ScreenSizeRuleBounds)
+{
+    // A tile as large as the screen passes, one pixel more does not.
+    EXPECT_EQ(screenSizeError(16, 16, 16, 16), "");
+    EXPECT_EQ(screenSizeError(15, 16, 16, 16),
+              "tile larger than the screen: screen 15x16, tiles 16x16");
+    EXPECT_EQ(screenSizeError(16, 15, 16, 16),
+              "tile larger than the screen: screen 16x15, tiles 16x16");
+    // 8K UHD and exactly 2^26 pixels pass, one row more does not.
+    EXPECT_EQ(screenSizeError(7680, 4320, 16, 16), "");
+    EXPECT_EQ(screenSizeError(8192, 8192, 16, 16), "");
+    EXPECT_EQ(screenSizeError(8192, 8193, 16, 16),
+              "screen of more than 67108864 pixels: screen 8192x8193, "
+              "tiles 16x16");
+    EXPECT_EQ(screenSizeError(0, 48, 16, 16),
+              "zero screen or tile size: screen 0x48, tiles 16x16");
+    // u32 sizes whose product overflows 32 bits.
+    EXPECT_NE(screenSizeError(0xFFFFFFFFu, 0xFFFFFFFFu, 16, 16), "");
+}
+
 TEST(GpuConfig, DefaultConfigValidates)
 {
     GpuConfig c;

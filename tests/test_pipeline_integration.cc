@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <string>
@@ -70,6 +71,53 @@ struct PipeFixture : ::testing::Test
             }
         }
         return crc32Tabular(bytes);
+    }
+
+    /**
+     * A counter-clockwise quad over the pixel rectangle [x0, x1] x
+     * [y0, y1] at window depth @p z, drawn with an identity MVP and
+     * no depth test. Texcoords run from (0, 0) to (1, 1).
+     */
+    DrawCall
+    pixelQuad(ShaderKind shader, float x0, float y0, float x1, float y1,
+              float z = 0.5f) const
+    {
+        auto vertex = [&](float x, float y, Vec2 uv) {
+            Vertex v;
+            v.position = {x / (config.screenWidth * 0.5f) - 1.0f,
+                          y / (config.screenHeight * 0.5f) - 1.0f,
+                          2.0f * z - 1.0f};
+            v.texcoord = uv;
+            return v;
+        };
+        const Vertex a = vertex(x0, y0, {0, 0});
+        const Vertex b = vertex(x1, y0, {1, 0});
+        const Vertex c = vertex(x1, y1, {1, 1});
+        const Vertex d = vertex(x0, y1, {0, 1});
+        DrawCall draw;
+        draw.state.shader = shader;
+        draw.state.depthTest = false;
+        draw.layout = {true, true, true};
+        draw.vertices = {a, b, c, a, c, d};
+        return draw;
+    }
+
+    /** Whether @p colors, a row-major tile, equal the on-screen pixels
+     *  of @p tile in @p surface, a row-major screen. */
+    bool
+    tileMatches(const std::vector<Color> &surface, TileId tile,
+                const std::vector<Color> &colors) const
+    {
+        const u32 x0 = tile % config.tilesX() * config.tileWidth;
+        const u32 y0 = tile / config.tilesX() * config.tileHeight;
+        for (u32 y = y0; y < std::min(y0 + config.tileHeight,
+                                      config.screenHeight); y++)
+            for (u32 x = x0; x < std::min(x0 + config.tileWidth,
+                                          config.screenWidth); x++)
+                if (surface[y * config.screenWidth + x]
+                    != colors[(y - y0) * config.tileWidth + (x - x0)])
+                    return false;
+        return true;
     }
 };
 
@@ -409,4 +457,151 @@ TEST_F(PipeFixture, RasterCountersAreEachFramesTileSums)
     EXPECT_FALSE(counters.contains("raster.tilesEliminated"));
     EXPECT_FALSE(counters.contains("raster.tileFlushesEliminated"));
     EXPECT_FALSE(counters.contains("re.falsePositives"));
+}
+
+TEST_F(PipeFixture, SkippedTilesGroundTruthMatchesAFreshRender)
+{
+    // A skipped tile's ground truth comes from its record of the last
+    // render when its inputs are unchanged, else from a shadow render.
+    // Either way equalColors must say whether a fresh render of the
+    // tile, with no memory sink, matches the Back Buffer as it was
+    // before the frame. Every tile is skipped from frame 2 on. The
+    // scene then changes one input of the record's key at a time,
+    // reverts it, and stays unchanged for a frame, so a key missing
+    // that input serves the reverted colors and fails the check.
+    struct SkipFromFrame2 : PipelineHooks
+    {
+        u64 frame = 0;
+        void frameBegin(u64 f, bool) override { frame = f; }
+        bool shouldRenderTile(TileId) override { return frame < 2; }
+    };
+
+    std::vector<Texture> textures;
+    textures.emplace_back(0, 64, 64, TexturePattern::Checker, 5);
+    textures.emplace_back(1, 32, 32, TexturePattern::Noise, 3);
+
+    // Draws by index: a textured quad, a vertex-colored quad, a lit
+    // textured quad, a near and a far depth-tested quad over the same
+    // pixels, and a translucent flat overlay. Columns 40-47 and 88-95
+    // show the clear color.
+    enum { textured, vertexColored, lit, nearQuad, farQuad, overlay };
+    FrameCommands base;
+    base.clearColor = Color(12, 12, 24);
+    base.draws.push_back(pixelQuad(ShaderKind::Textured, 0, 0, 40, 32));
+    base.draws.push_back(
+        pixelQuad(ShaderKind::VertexColor, 48, 0, 88, 32));
+    base.draws.push_back(pixelQuad(ShaderKind::TexLit, 0, 32, 40, 64));
+    base.draws.push_back(pixelQuad(ShaderKind::Flat, 48, 32, 88, 64,
+                                   0.25f));
+    base.draws.push_back(pixelQuad(ShaderKind::Flat, 48, 32, 88, 64,
+                                   0.75f));
+    base.draws.push_back(pixelQuad(ShaderKind::Flat, 8, 8, 56, 56));
+    base.draws[textured].state.textureId = 0;
+    // pixelQuad's vertices are corners a, b, c, a, c, d.
+    const Vec4 corners[] = {{1, 0, 0, 1}, {0, 1, 0, 1}, {0, 0, 1, 1},
+                            {1, 1, 1, 1}};
+    const int cornerOf[] = {0, 1, 2, 0, 2, 3};
+    for (int i = 0; i < 6; i++)
+        base.draws[vertexColored].vertices[i].color = corners[cornerOf[i]];
+    base.draws[lit].state.textureId = 1;
+    for (int d : {nearQuad, farQuad})
+        base.draws[d].state.depthTest = true;
+    base.draws[nearQuad].state.uniforms.tint = {1, 0, 0, 1};
+    base.draws[farQuad].state.uniforms.tint = {0, 0, 1, 1};
+    base.draws[overlay].state.uniforms.tint = {0.2f, 0.4f, 0.6f, 0.5f};
+
+    const std::pair<const char *, std::function<void(FrameCommands &)>>
+        mutations[] = {
+            {"vertex position", [](FrameCommands &c) {
+                 c.draws[textured].vertices[1].position.x += 0.25f;
+             }},
+            {"texcoord", [](FrameCommands &c) {
+                 c.draws[textured].vertices[0].texcoord = {0.3f, 0.2f};
+             }},
+            {"vertex color", [](FrameCommands &c) {
+                 c.draws[vertexColored].vertices[0].color = {0, 0, 0, 1};
+             }},
+            {"diffuse", [](FrameCommands &c) {
+                 c.draws[lit].state.uniforms.lightDir = {1, 0, 1};
+             }},
+            {"depth under a depth test", [](FrameCommands &c) {
+                 for (Vertex &v : c.draws[nearQuad].vertices)
+                     v.position.z = 0.8f;
+             }},
+            {"tint", [](FrameCommands &c) {
+                 c.draws[overlay].state.uniforms.tint = {0.9f, 0.1f, 0.1f,
+                                                         0.5f};
+             }},
+            {"blendMode", [](FrameCommands &c) {
+                 c.draws[overlay].state.blendMode = BlendMode::AlphaBlend;
+             }},
+            {"depthWrite", [](FrameCommands &c) {
+                 c.draws[nearQuad].state.depthWrite = false;
+             }},
+            {"textureId", [](FrameCommands &c) {
+                 c.draws[textured].state.textureId = 1;
+             }},
+            {"clear color", [](FrameCommands &c) {
+                 c.clearColor = Color(200, 0, 0);
+             }},
+        };
+
+    // Frames 0-2 draw the base scene, frame 2 unchanged and skipped.
+    // Then per mutation: the mutated frame, the base frame, and the
+    // base frame unchanged.
+    struct Step
+    {
+        FrameCommands commands;
+        std::string what;  //!< the input mutated, "" if none
+        bool unchanged;
+    };
+    std::vector<Step> steps(3, {base, "", true});
+    for (const auto &[what, mutate] : mutations) {
+        steps.push_back({base, what, false});
+        mutate(steps.back().commands);
+        steps.push_back({base, "", false});
+        steps.push_back({base, "", true});
+    }
+
+    const u32 numTiles = config.numTiles();
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("tile-jobs " + std::to_string(jobs));
+        SkipFromFrame2 hooks;
+        StatRegistry reg;
+        GraphicsPipeline pipe(config, reg, nullptr, textures);
+        pipe.setHooks(&hooks);
+        pipe.setTileJobs(jobs);
+        std::vector<std::vector<Color>> lastFresh(numTiles);
+        for (u64 f = 0; f < steps.size(); f++) {
+            const Step &step = steps[f];
+            SCOPED_TRACE("frame " + std::to_string(f) + " " + step.what);
+            const std::vector<Color> back = pipe.frameBuffer().backSurface();
+            const FrameResult r = pipe.renderFrame(step.commands);
+            if (f < 2) {
+                EXPECT_EQ(r.groundTruthFromRecord, 0u);
+                continue;
+            }
+            u32 changed = 0;
+            for (TileId t = 0; t < numTiles; t++) {
+                ASSERT_FALSE(r.tiles[t].rendered);
+                std::vector<Color> fresh;
+                TileRenderer(config, nullptr, textures)
+                    .renderTile(t, r.binned, step.commands.draws,
+                                step.commands.clearColor, fresh);
+                EXPECT_EQ(r.tiles[t].equalColors,
+                          tileMatches(back, t, fresh))
+                    << "tile " << t;
+                changed += fresh != lastFresh[t];
+                lastFresh[t] = std::move(fresh);
+            }
+            if (step.unchanged) {
+                EXPECT_EQ(r.groundTruthFromRecord, numTiles);
+            }
+            if (!step.what.empty()) {
+                EXPECT_GT(changed, 0u);
+            }
+        }
+        EXPECT_EQ(reg.counter("raster.tilesEliminated"),
+                  (steps.size() - 2) * numTiles);
+    }
 }

@@ -238,7 +238,12 @@ TEST(SimIntegration, ResultCountsEqualTheirRegistryCounters)
     // SimResult's tile and fragment counts are read from each frame's
     // FrameTotals, whose charge() writes the same sums to the registry;
     // the overheads come from RE. Both must agree for every technique
-    // on both schedules.
+    // on both schedules. RE, TE and binning count their events per
+    // item and charge them once per frame or drawcall; each of those
+    // counters is pinned to an independent count of the same events.
+    const std::pair<const char *, const char *> sameEvents[] = {
+        {"re.tilesSkipped", "raster.tilesEliminated"},
+        {"te.flushesEliminated", "raster.tileFlushesEliminated"}};
     const std::pair<const char *, u64 SimResult::*> fields[] = {
         {"raster.tilesRendered", &SimResult::tilesRendered},
         {"raster.tilesEliminated", &SimResult::tilesSkippedByRe},
@@ -250,6 +255,23 @@ TEST(SimIntegration, ResultCountsEqualTheirRegistryCounters)
         {"re.falsePositives", &SimResult::reFalsePositives}};
     std::map<std::string, u64> seen;
     for (const char *alias : {"ccs", "csn"}) {
+        // The binned primitives and their tile overlaps, summed over
+        // each frame's FrameResult::binned. Binning does not depend on
+        // the technique or the schedule.
+        u64 binned = 0, overlaps = 0;
+        {
+            GpuConfig config;
+            config.scaleResolution(208, 128);
+            auto scene = makeBenchmark(alias, config);
+            Simulator sim(*scene, config);
+            for (u64 f = 0; f < 6; f++) {
+                const FrameResult fr = sim.stepFrame(f);
+                binned += fr.binned.primitives.size();
+                for (const std::vector<PrimRef> &list : fr.binned.tileLists)
+                    overlaps += list.size();
+            }
+        }
+        EXPECT_GT(overlaps, binned);
         for (Technique tech :
              {Technique::Baseline, Technique::RenderingElimination,
               Technique::TransactionElimination,
@@ -264,6 +286,14 @@ TEST(SimIntegration, ResultCountsEqualTheirRegistryCounters)
                     EXPECT_EQ(r.*field, r.stats.counter(name)) << name;
                     seen[name] += r.*field;
                 }
+                for (const auto &[name, same] : sameEvents) {
+                    EXPECT_EQ(r.stats.counter(name), r.stats.counter(same))
+                        << name;
+                    seen[name] += r.stats.counter(name);
+                }
+                EXPECT_EQ(r.stats.counter("binning.primitivesBinned"),
+                          binned);
+                EXPECT_EQ(r.stats.counter("binning.tileOverlaps"), overlaps);
             }
         }
     }
@@ -274,4 +304,6 @@ TEST(SimIntegration, ResultCountsEqualTheirRegistryCounters)
             EXPECT_GT(seen[name], 0u) << name;
         }
     }
+    for (const auto &[name, same] : sameEvents)
+        EXPECT_GT(seen[name], 0u) << name;
 }

@@ -71,14 +71,6 @@ TEST(Texture, AddressMapIsPerTexture)
     EXPECT_EQ(a.texelAddr(0, 1), a.baseAddr() + 32 * 4);
 }
 
-TEST(Texture, SetTexelOverwrites)
-{
-    Texture t(0, 32, 32, TexturePattern::Solid, 1);
-    Color red(255, 0, 0);
-    t.setTexel(3, 4, red);
-    EXPECT_EQ(t.texel(3, 4), red);
-}
-
 TEST(Sampler, BilinearTouchesFourTexels)
 {
     Texture t(0, 32, 32, TexturePattern::Solid, 5);
@@ -102,9 +94,10 @@ TEST(Sampler, BilinearOnSolidIsExact)
 
 TEST(Sampler, BilinearInterpolatesBetweenTexels)
 {
-    Texture t(0, 32, 32, TexturePattern::Solid, 5);
-    t.setTexel(0, 0, Color(0, 0, 0, 255));
-    t.setTexel(1, 0, Color(255, 255, 255, 255));
+    // Black, with texel 1 of row 0 white.
+    std::vector<Color> texels(32 * 32, Color(0, 0, 0, 255));
+    texels[1] = Color(255, 255, 255, 255);
+    const Texture t(0, 32, 32, std::move(texels));
     // Halfway between texel 0 and 1 centres on row 0.
     Color c = Sampler::sample(t, 1.0f / 32, 0.5f / 32, nullptr);
     EXPECT_NEAR(c.r, 128, 2);

@@ -400,6 +400,70 @@ TEST(TraceIntegrity, VerifyRejectsCrcValidHostilePayloads)
     }
 }
 
+TEST(TraceIntegrity, MetaSizesFollowGpuConfigsRule)
+{
+    // META's screen and tile sizes obey GpuConfig::validate's rule. The
+    // first two edits are the escapes a seeded trial of re-sealed META
+    // edits found on a 64x48x3 ccs trace: both used to verify, and the
+    // replay then ran out of memory. Verify, the reader and validate
+    // each reject every edit with the same diagnostic.
+    GpuConfig config = tinyConfig();
+    auto scene = makeBenchmark("ccs", config);
+    const std::string cleanPath = tmpTracePath("meta_sizes_clean");
+    captureTrace(*scene, config, 3, 7, cleanPath);
+    const std::vector<u8> original = readFileBytes(cleanPath);
+    std::remove(cleanPath.c_str());
+    // META payload: name (u32 length + bytes), seed, frames, then the
+    // screen and tile sizes.
+    const u64 meta = sizeof(traceMagic);
+    const u64 sizesAt =
+        4 + readLe(original, meta + traceChunkHeaderBytes, 4) + 16;
+
+    struct Sizes
+    {
+        const char *name;
+        u32 screenWidth, screenHeight, tileWidth, tileHeight;
+        const char *diagnostic;
+    };
+    const Sizes edits[] = {
+        {"wideTile", 64, 48, 134217744, 16,
+         "tile larger than the screen: screen 64x48, tiles 134217744x16"},
+        {"tallTile", 64, 48, 16, 1073741840,
+         "tile larger than the screen: screen 64x48, tiles 16x1073741840"},
+        {"hugeScreen", 1500000, 48, 16, 16,
+         "screen of more than 67108864 pixels: screen 1500000x48, "
+         "tiles 16x16"},
+    };
+    for (const Sizes &edit : edits) {
+        SCOPED_TRACE(edit.name);
+        const std::string path =
+            tmpTracePath(std::string("meta_") + edit.name);
+        std::vector<u8> bytes = original;
+        patchAndReseal(bytes, meta, sizesAt, edit.screenWidth, 4);
+        patchAndReseal(bytes, meta, sizesAt + 4, edit.screenHeight, 4);
+        patchAndReseal(bytes, meta, sizesAt + 8, edit.tileWidth, 4);
+        patchAndReseal(bytes, meta, sizesAt + 12, edit.tileHeight, 4);
+        writeFileBytes(path, bytes);
+
+        const TraceVerifyReport report = verifyTraceFile(path);
+        ASSERT_FALSE(report.ok);
+        ASSERT_EQ(report.errors.size(), 1u) << report.errors.front();
+        EXPECT_NE(report.errors.front().find(edit.diagnostic),
+                  std::string::npos)
+            << report.errors.front();
+        EXPECT_EXIT({ TraceReader reader(path); },
+                    ::testing::ExitedWithCode(1), edit.diagnostic);
+        GpuConfig live;
+        live.screenWidth = edit.screenWidth;
+        live.screenHeight = edit.screenHeight;
+        live.tileWidth = edit.tileWidth;
+        live.tileHeight = edit.tileHeight;
+        EXPECT_EXIT(live.validate(), ::testing::ExitedWithCode(1),
+                    edit.diagnostic);
+        std::remove(path.c_str());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Windowed replay + frame-range sharding.
 // ---------------------------------------------------------------------------
