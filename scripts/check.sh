@@ -38,8 +38,10 @@
 #    clang++ is absent.
 #  - ASan+UBSan (-DREGPU_SANITIZE=address, which adds
 #    float-cast-overflow to gcc's UBSan set) re-runs the unit suites,
-#    the two results-ledger tests (real scenes through suite_cli) and
-#    test_trace (hostile, CRC-valid payloads through the trace parser);
+#    the two results-ledger tests (real scenes through suite_cli),
+#    test_trace (hostile, CRC-valid payloads through the trace parser)
+#    and test_pipeline_integration (tiles served from their records,
+#    whose replay indexes textures by recorded texel indices);
 #    TSan (-DREGPU_SANITIZE=thread) runs the ParallelRunner
 #    determinism + contention-stress suites plus the observability
 #    suite (per-thread ring attach/park under an 8-worker pool).
@@ -72,7 +74,8 @@
 #   scripts/check.sh --tsa       # clang thread-safety analysis only
 #   scripts/check.sh --tsan      # TSan build + parallel suites only
 #   scripts/check.sh --sanitize  # ASan+UBSan build + unit,
-#                                # results-ledger and trace tests only
+#                                # results-ledger, trace and pipeline
+#                                # integration tests only
 #   scripts/check.sh --fma       # -mfma build + results-ledger,
 #                                # paper-figures golden and raster,
 #                                # texture, color, cache tests only
@@ -264,13 +267,16 @@ run_sanitize_pass() {
     echo "== sanitize build =="
     cmake --build "$SANITIZE_DIR" -j"$(nproc)"
 
-    echo "== sanitize ctest (unit + results ledger + trace parser) =="
+    echo "== sanitize ctest (unit + results ledger + trace parser + tile records) =="
     (cd "$SANITIZE_DIR" && ctest --output-on-failure -j"$(nproc)" -L unit)
-    # test_trace is labelled integration, but it is where hostile trace
-    # payloads reach the parser, so it runs under the sanitizers too.
+    # test_trace and test_pipeline_integration are labelled
+    # integration, but hostile trace payloads reach the parser in the
+    # one, and the other replays tiles from their records, indexing
+    # textures by recorded texel indices, so both run under the
+    # sanitizers too.
     (cd "$SANITIZE_DIR" \
          && ctest --output-on-failure -j2 --no-tests=error \
-                  -R '^(results_ledger_tile_jobs_(1|4)|test_trace)$')
+                  -R '^(results_ledger_tile_jobs_(1|4)|test_trace|test_pipeline_integration)$')
     gate_end asan
 }
 

@@ -97,6 +97,10 @@ GpuConfig::validate() const
                   ") must equal the L2's (", l2Cache.lineBytes, ")");
     if (numTextureCaches == 0)
         fatal("GpuConfig: numTextureCaches must be >= 1 (got 0)");
+    // A tile record keeps each texel sample's texture cache in a byte.
+    if (numTextureCaches > 256)
+        fatal("GpuConfig: numTextureCaches must be <= 256 (got ",
+              numTextureCaches, ")");
     if (dramBytesPerCycle == 0)
         fatal("GpuConfig: dramBytesPerCycle must be >= 1 (got 0)");
     if (dramQueueEntries == 0)

@@ -129,8 +129,6 @@ GeometryPipeline::process(const DrawCall &draw)
             }
             tri[k] = cv;
             out.verticesShaded++;
-            stats.inc("geometry.vertexShaderInstrs",
-                      vertexShaderInstructions(draw.state.shader));
         }
 
         // Trivial frustum rejection (x, y, z outcodes).
@@ -191,6 +189,12 @@ GeometryPipeline::process(const DrawCall &draw)
         }
     }
 
+    // As per-vertex charges would have left it: the counter exists
+    // once a vertex was shaded.
+    if (out.verticesShaded)
+        stats.inc("geometry.vertexShaderInstrs",
+                  out.verticesShaded
+                      * vertexShaderInstructions(draw.state.shader));
     stats.inc("geometry.verticesFetched", out.verticesFetched);
     stats.inc("geometry.verticesShaded", out.verticesShaded);
     stats.inc("geometry.trianglesIn", out.trianglesIn);

@@ -1,6 +1,7 @@
 #include "gpu/pipeline.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <optional>
 #include <thread>
@@ -132,8 +133,8 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
     // tileJobs workers, each recording its memory accesses for the
     // merge to replay. The direct schedule runs phase1(t) and merge(t)
     // inline, back to back: it renders straight into the shared
-    // MemSystem and reuses one task slot so the color vector's capacity
-    // survives across tiles. Both produce the per-tile stream [render
+    // MemSystem and reuses one task slot so its buffers keep their
+    // capacity across tiles. Both produce the per-tile stream [render
     // traffic][flush], which keeps output bit-identical across
     // --tile-jobs values. The merge sums each tile's counts into the
     // frame's FrameTotals, which reach the StatRegistry once, after
@@ -144,17 +145,23 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
     const bool direct = tileJobs <= 1;
 
     // Records of each tile's last render (docs/ARCHITECTURE.md, "Phase
-    // 1"). Kept only where a tile can be skipped and its ground truth
-    // is asked for, and never next to a memo client, whose lookup
+    // 1"). Kept by every pipeline without a memo client, whose lookup
     // table a render's colors would depend on. The key of a render is
     // everything renderTile reads besides the tile and the pipeline's
     // constants (the GpuConfig and the immutable textures): the clear
     // color and, per listed primitive in order, its PrimInputs.
-    const bool recording = hooks && !memo && groundTruth;
+    const bool recording = !memo;
     const bool recordsValid = recording && prevInputsFrame
         && *prevInputsFrame + 1 == frameCounter;
     if (recording) {
-        records.resize(numTiles);
+        if (records.empty()) {
+            // Sized on this thread, so that phase 1 renders into them
+            // without allocating on a pool worker.
+            records.resize(numTiles);
+            for (TileRecord &rec : records)
+                rec.colors.resize(std::size_t{config.tileWidth}
+                                  * config.tileHeight);
+        }
         inputs.resize(result.binned.primitives.size());
         for (std::size_t i = 0; i < inputs.size(); i++) {
             const Primitive &prim = result.binned.primitives[i];
@@ -189,15 +196,43 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                 return false;
         return true;
     };
-    // Key tile t's record with this frame's render of t.
-    auto writeRecordKey = [&](TileId tile) {
-        TileRecord &rec = records[tile];
+    // Emit into @p sink, if any, the memory events of tile t's render
+    // from its matching record, as renderTile does: per listed
+    // primitive in order, its parameterRead at this frame's Parameter
+    // Buffer address, then one texelFetches call per recorded sample.
+    // Returns the bytes those reads fetch.
+    auto replayRecord = [&](TileId tile, MemTraceSink *sink) {
+        const TileRecord &rec = records[tile];
         const std::vector<PrimRef> &list = result.binned.tileLists[tile];
-        rec.frame = frameCounter;
-        rec.clearColor = commands.clearColor;
-        rec.prims.resize(list.size());
-        for (std::size_t i = 0; i < list.size(); i++)
-            rec.prims[i] = list[i].primIndex;
+        const u32 *first = rec.texels.firstTexel.data();
+        const u8 *cache = rec.texels.cache.data();
+        u64 bytes = 0;
+        for (std::size_t i = 0; i < list.size(); i++) {
+            const PrimRef &ref = list[i];
+            bytes += ref.pbBytes;
+            if (!sink)
+                continue;
+            sink->parameterRead(ref.pbAddr, ref.pbBytes);
+            const u32 samples = rec.texels.samples[i];
+            if (!samples)
+                continue;
+            // A primitive that sampled had a texture bound, and its
+            // textureId is part of the key.
+            const Primitive &prim = result.binned.primitives[ref.primIndex];
+            const Texture &tex =
+                textures[commands.draws[prim.drawIndex].state.textureId];
+            for (u32 k = 0; k < samples; k++) {
+                const std::array<u32, 4> texel =
+                    Sampler::footprint(tex, first[k]);
+                const std::array<Addr, 4> addrs = {
+                    tex.indexAddr(texel[0]), tex.indexAddr(texel[1]),
+                    tex.indexAddr(texel[2]), tex.indexAddr(texel[3])};
+                sink->texelFetches(cache[k], addrs);
+            }
+            first += samples;
+            cache += samples;
+        }
+        return bytes;
     };
     {
         // Scoped so the per-frame tile tasks are freed inside the
@@ -212,18 +247,30 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
 
         struct TileTask
         {
-            std::vector<Color> colors;
+            std::vector<Color> colors;  //!< used when not recording
             MemEventRecorder memEvents;
             TileRenderStats renderStats;
+            TexelCapture texels;        //!< a fresh render's, for its record
             u32 preparedFlush = 0;
             bool equalColors = false;
-            bool fromRecord = false;  //!< ground truth from the record
+            bool fromRecord = false;    //!< served by the tile's record
         };
         std::vector<TileTask> tasks(direct ? 1u : numTiles);
         auto taskFor = [&](TileId tile) -> TileTask & {
             return tasks[direct ? 0 : tile];
         };
+        auto colorsOf = [&](TileId tile) -> std::vector<Color> & {
+            return recording ? records[tile].colors : taskFor(tile).colors;
+        };
 
+        // A rendered tile renders into the schedule's memory sink, and a
+        // skipped one, for its ground truth, as a shadow render: no
+        // memory sink, no memo client, stats not charged. A matching
+        // record serves either: its colors, its stats and, for a
+        // rendered tile, its memory events. A render is a function of
+        // the key, the tile and the pipeline's constants, except for
+        // the Parameter Buffer addresses and sizes, which the replay
+        // takes from this frame's PrimRefs.
         auto phase1 = [&](TileId tile) {
             // Tile spans (raster + shade fused per tile) are per-tile
             // detail: numTiles events per frame, gated separately.
@@ -231,47 +278,55 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
             if (obsTileDetail())
                 tileSpan.emplace("gpu", "tile", "tile",
                                  static_cast<i64>(tile));
+            const bool rendered = result.tiles[tile].rendered;
+            if (!rendered && !groundTruth)
+                return;
             TileTask &task = taskFor(tile);
-            if (result.tiles[tile].rendered) {
-                TileRenderer renderer(config,
-                                      direct ? mem : &task.memEvents,
-                                      textures, memo);
-                task.renderStats = renderer.renderTile(
-                    tile, result.binned, commands.draws,
-                    commands.clearColor, task.colors);
-                // Per-tile-disjoint Back Buffer regions, written only
-                // by this tile's own (strictly later) merge: safe.
-                task.equalColors = fb.tileEquals(tile, task.colors);
-                if (recording) {
-                    records[tile].colors = task.colors;
-                    writeRecordKey(tile);
-                }
-                if (hooks)
-                    task.preparedFlush =
-                        hooks->prepareFlushTile(tile, task.colors);
-            } else if (groundTruth) {
-                // Ground truth: the colors the tile would have
-                // rendered, compared with the Back Buffer. A shadow
-                // render has no memory traffic and its stats are
-                // dropped, so a record whose key matches holds
-                // exactly the colors it would produce.
-                task.fromRecord = recording && recordMatches(tile);
-                std::vector<Color> &colors =
-                    recording ? records[tile].colors : task.colors;
-                if (!task.fromRecord)
-                    TileRenderer(config, nullptr, textures)
+            std::vector<Color> &colors = colorsOf(tile);
+            MemTraceSink *sink =
+                !rendered ? nullptr : direct ? mem : &task.memEvents;
+            task.fromRecord = recording && recordMatches(tile);
+            if (task.fromRecord) {
+                task.renderStats = records[tile].stats;
+                task.renderStats.parameterBytesRead =
+                    replayRecord(tile, sink);
+            } else {
+                task.renderStats =
+                    TileRenderer(config, sink, textures,
+                                 rendered ? memo : nullptr)
                         .renderTile(tile, result.binned, commands.draws,
-                                    commands.clearColor, colors);
-                if (recording)
-                    writeRecordKey(tile);
-                task.equalColors = fb.tileEquals(tile, colors);
+                                    commands.clearColor, colors,
+                                    recording ? &task.texels : nullptr);
             }
+            // Per-tile-disjoint Back Buffer regions, written only by
+            // this tile's own (strictly later) merge: safe.
+            task.equalColors = fb.tileEquals(tile, colors);
+            if (rendered && hooks)
+                task.preparedFlush = hooks->prepareFlushTile(tile, colors);
         };
 
         FrameTotals &totals = result.totals;
         auto merge = [&](TileId tile) {
             TileTask &task = taskFor(tile);
             TileOutcome &out = result.tiles[tile];
+            if (recording && (out.rendered || groundTruth)) {
+                // Key the record with this frame's render. A fresh
+                // render's capture is copied here, on the calling
+                // thread, so record buffers never grow on a worker.
+                TileRecord &rec = records[tile];
+                if (!task.fromRecord) {
+                    rec.stats = task.renderStats;
+                    rec.texels = task.texels;
+                }
+                const std::vector<PrimRef> &list =
+                    result.binned.tileLists[tile];
+                rec.frame = frameCounter;
+                rec.clearColor = commands.clearColor;
+                rec.prims.resize(list.size());
+                for (std::size_t i = 0; i < list.size(); i++)
+                    rec.prims[i] = list[i].primIndex;
+            }
+            const std::vector<Color> &colors = colorsOf(tile);
             if (out.rendered) {
                 // The MemSystem's cache state depends on the access
                 // order, which is why replay happens here and not on
@@ -281,13 +336,14 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                 out.stats = task.renderStats;
                 totals.addRendered(out.stats);
                 out.equalColors = task.equalColors;
+                result.renderedFromRecord += task.fromRecord;
 
                 const bool flush = !hooks
-                    || hooks->shouldFlushTilePre(tile, task.colors,
+                    || hooks->shouldFlushTilePre(tile, colors,
                                                  task.preparedFlush);
                 out.flushed = flush;
                 if (flush) {
-                    fb.writeTile(tile, task.colors);
+                    fb.writeTile(tile, colors);
                     if (mem)
                         mem->colorFlush(fb.tileAddr(tile),
                                         fb.tileBytes(tile));

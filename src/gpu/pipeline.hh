@@ -171,6 +171,9 @@ struct FrameResult
      *  instead of a shadow render. A host-side count: no StatRegistry
      *  counter and no ledger column. */
     u64 groundTruthFromRecord = 0;
+    /** Rendered tiles served from the tile's record instead of
+     *  rasterized. Host-side, like groundTruthFromRecord. */
+    u64 renderedFromRecord = 0;
 };
 
 /**
@@ -201,8 +204,9 @@ class GraphicsPipeline
      * @param groundTruth when true, skipped tiles are shadow-rendered
      *        (no cost charged) so TileOutcome::equalColors is exact
      *        for every tile - needed by Fig. 15a and correctness tests.
-     *        A skipped tile whose inputs equal its record's takes the
-     *        record's colors instead of a shadow render.
+     *        Any tile whose inputs equal its record's, rendered or
+     *        skipped, takes the record's colors instead of a render;
+     *        a rendered one also replays the record's memory events.
      */
     FrameResult renderFrame(const FrameCommands &commands,
                             bool groundTruth = true);
@@ -228,10 +232,10 @@ class GraphicsPipeline
                   "no padding bytes");
 
     /**
-     * A tile's last render: its colors and the key of what it read,
-     * the clear color and its PrimRef list as indices into the
-     * inputs of the frame that wrote it. Valid only in the next frame,
-     * while those inputs are prevInputs.
+     * A tile's last render: its colors, stats and texel fetches, and
+     * the key of what it read, the clear color and its PrimRef list as
+     * indices into the inputs of the frame that wrote it. Valid only
+     * in the next frame, while those inputs are prevInputs.
      */
     struct TileRecord
     {
@@ -239,6 +243,8 @@ class GraphicsPipeline
         Color clearColor;
         std::vector<u32> prims;
         std::vector<Color> colors;
+        TileRenderStats stats;
+        TexelCapture texels;
     };
 
     const GpuConfig &config;
@@ -247,11 +253,11 @@ class GraphicsPipeline
     const std::vector<Texture> &textures;
     PipelineHooks *hooks = nullptr;
 
-    // Per-tile records (docs/ARCHITECTURE.md, "Phase 1"): written
-    // only by a tile's own phase 1, and only with hooks attached, no
-    // memo client and groundTruth. inputs is this frame's PrimInputs
-    // per binned primitive, prevInputs the previous frame's, built
-    // before and swapped after the tile loop.
+    // Per-tile records (docs/ARCHITECTURE.md, "Phase 1"): kept only
+    // without a memo client, and written only by a tile's own phase 1
+    // and merge. inputs is this frame's PrimInputs per binned
+    // primitive, prevInputs the previous frame's, built before and
+    // swapped after the tile loop.
     std::vector<TileRecord> records;
     std::vector<PrimInputs> inputs;
     std::vector<PrimInputs> prevInputs;

@@ -146,7 +146,8 @@ TileRenderer::fragmentSignature(const DrawCall &draw, Vec4 color,
 TileRenderStats
 TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
                          const std::vector<DrawCall> &draws,
-                         Color clearColor, std::vector<Color> &outColors)
+                         Color clearColor, std::vector<Color> &outColors,
+                         TexelCapture *capture)
 {
     TileRenderStats ts;
     const u32 tw = config.tileWidth;
@@ -175,6 +176,11 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
 
     if (memo)
         memo->tileBegin(tile);
+    if (capture) {
+        capture->samples.clear();
+        capture->firstTexel.clear();
+        capture->cache.clear();
+    }
 
     for (const PrimRef &ref : frame.tileLists[tile]) {
         const Primitive &prim = frame.primitives[ref.primIndex];
@@ -193,6 +199,8 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
         ts.parameterBytesRead += ref.pbBytes;
         if (mem)
             mem->parameterRead(ref.pbAddr, ref.pbBytes);
+        if (capture)
+            capture->samples.push_back(0);
 
         // Rasterizer setup: edge functions from the vertices.
         const ShadedVertex &a = prim.v[0];
@@ -391,16 +399,21 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
                     }
 
                     if (tex) {
+                        const u32 quad = scratch.quadCol[px - tx0]
+                            + scratch.quadRow[py - ty0];
+                        const u32 cache = quad >= caches ? quad - caches : quad;
                         if (mem) {
                             const std::array<Addr, 4> addrs = {
                                 tex->indexAddr(texels[0][lane]),
                                 tex->indexAddr(texels[1][lane]),
                                 tex->indexAddr(texels[2][lane]),
                                 tex->indexAddr(texels[3][lane])};
-                            const u32 quad = scratch.quadCol[px - tx0]
-                                + scratch.quadRow[py - ty0];
-                            mem->texelFetches(
-                                quad >= caches ? quad - caches : quad, addrs);
+                            mem->texelFetches(cache, addrs);
+                        }
+                        if (capture) {
+                            capture->samples.back()++;
+                            capture->firstTexel.push_back(texels[0][lane]);
+                            capture->cache.push_back(static_cast<u8>(cache));
                         }
                         ts.texelFetches += 4;
                     }

@@ -66,6 +66,22 @@ struct TileRenderStats
     u32 texelFetches = 0;
     u32 blendOps = 0;
     u64 parameterBytesRead = 0;
+
+    bool operator==(const TileRenderStats &) const = default;
+};
+
+/**
+ * A render's texel fetches, compactly: per listed primitive, how many
+ * samples it fetched; per sample, its first texel index and its
+ * texture cache. Sampler::footprint gives each sample's other three
+ * texels, so the capture and the primitives' textures give back every
+ * texelFetches call the render made, in order.
+ */
+struct TexelCapture
+{
+    std::vector<u32> samples;     //!< per listed primitive, in list order
+    std::vector<u32> firstTexel;  //!< per sample, in fetch order
+    std::vector<u8> cache;        //!< per sample: its texture cache
 };
 
 /**
@@ -106,12 +122,15 @@ class TileRenderer
      * @param draws      the frame's drawcalls (pipeline state lookup)
      * @param clearColor tile background
      * @param outColors  tileWidth*tileHeight colors, row-major
+     * @param capture    if non-null, overwritten with the render's texel
+     *                   fetches, whether or not a memory sink is set
      * @return per-tile statistics
      */
     TileRenderStats renderTile(TileId tile, const BinnedFrame &frame,
                                const std::vector<DrawCall> &draws,
                                Color clearColor,
-                               std::vector<Color> &outColors);
+                               std::vector<Color> &outColors,
+                               TexelCapture *capture = nullptr);
 
     /**
      * Compute the memoization signature of a fragment: hash of shader

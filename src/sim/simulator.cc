@@ -163,6 +163,8 @@ Simulator::run()
                    static_cast<double>(totals.tilesEliminated));
         obsCounter("re", "groundTruthFromRecordPerFrame",
                    static_cast<double>(fr.groundTruthFromRecord));
+        obsCounter("gpu", "renderedFromRecordPerFrame",
+                   static_cast<double>(fr.renderedFromRecord));
         obsCounter("te", "flushesElidedPerFrame",
                    static_cast<double>(totals.tileFlushesEliminated));
         obsCounter("gpu", "fragmentsShadedPerFrame",

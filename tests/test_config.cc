@@ -221,3 +221,15 @@ TEST(GpuConfigDeathTest, ZeroTextureCachesIsFatal)
     EXPECT_EXIT(bad.validate(), ::testing::ExitedWithCode(1),
                 "numTextureCaches must be >= 1");
 }
+
+TEST(GpuConfigDeathTest, MoreThan256TextureCachesIsFatal)
+{
+    // A tile record keeps each texel sample's cache in a byte.
+    GpuConfig ok;
+    ok.numTextureCaches = 256;
+    ok.validate(); // must not exit
+    GpuConfig bad;
+    bad.numTextureCaches = 257;
+    EXPECT_EXIT(bad.validate(), ::testing::ExitedWithCode(1),
+                "numTextureCaches must be <= 256 \\(got 257\\)");
+}

@@ -8,6 +8,7 @@
 #include "common/stats.hh"
 #include "gpu/geometry.hh"
 #include "gpu/memiface.hh"
+#include "gpu/shader.hh"
 
 using namespace regpu;
 
@@ -170,6 +171,31 @@ TEST_F(GeoFixture, StatsCountVerticesAndTriangles)
     run(d);
     EXPECT_EQ(stats.counter("geometry.verticesShaded"), 3u);
     EXPECT_EQ(stats.counter("geometry.trianglesIn"), 1u);
+}
+
+TEST_F(GeoFixture, VertexShaderInstrsAreEachDrawsShadedVertices)
+{
+    // Charged once per draw: its shaded vertices times its shader's
+    // instruction count, culled and offscreen triangles included. A
+    // draw that shades no vertex leaves the counter uncreated.
+    run(DrawCall{});
+    EXPECT_FALSE(
+        stats.allCounters().contains("geometry.vertexShaderInstrs"));
+    const DrawCall offscreen =
+        triangleDraw({3, 3, 0}, {4, 3, 0}, {3, 4, 0});
+    u64 want = 0;
+    for (ShaderKind kind :
+         {ShaderKind::Flat, ShaderKind::VertexColor, ShaderKind::Textured,
+          ShaderKind::TexModulate, ShaderKind::TexLit}) {
+        DrawCall d = triangleDraw({-1, -1, 0}, {1, -1, 0}, {-1, 1, 0});
+        d.vertices.insert(d.vertices.end(), offscreen.vertices.begin(),
+                          offscreen.vertices.end());
+        d.state.shader = kind;
+        const GeometryOutput out = run(d);
+        EXPECT_EQ(out.verticesShaded, 6u);
+        want += out.verticesShaded * vertexShaderInstructions(kind);
+        EXPECT_EQ(stats.counter("geometry.vertexShaderInstrs"), want);
+    }
 }
 
 TEST(TriangleSerialize, LayoutSizesMatchPaperAccounting)

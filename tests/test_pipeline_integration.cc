@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <functional>
 #include <map>
 #include <numeric>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,6 +20,7 @@
 #include "crc/crc32.hh"
 #include "gpu/pipeline.hh"
 #include "scene/mesh_gen.hh"
+#include "te/transaction_elimination.hh"
 #include "timing/memsystem.hh"
 
 using namespace regpu;
@@ -119,6 +122,170 @@ struct PipeFixture : ::testing::Test
                     return false;
         return true;
     }
+
+    /** The front surface, row-major: right after renderFrame, the
+     *  colors of the frame just rendered. */
+    std::vector<Color>
+    frontSurface(GraphicsPipeline &pipe) const
+    {
+        std::vector<Color> surface;
+        for (u32 y = 0; y < config.screenHeight; y++)
+            for (u32 x = 0; x < config.screenWidth; x++)
+                surface.push_back(pipe.frameBuffer().frontPixel(x, y));
+        return surface;
+    }
+
+    /** The record tests' draws, by index: a textured quad, a
+     *  vertex-colored quad, a lit textured quad, a near and a far
+     *  depth-tested quad over the same pixels, and a translucent flat
+     *  overlay. */
+    enum { textured, vertexColored, lit, nearQuad, farQuad, overlay };
+
+    /** The record tests' textures: the textured quad's and the lit
+     *  quad's. */
+    static std::vector<Texture>
+    recordTextures()
+    {
+        std::vector<Texture> textures;
+        textures.emplace_back(0, 64, 64, TexturePattern::Checker, 5);
+        textures.emplace_back(1, 32, 32, TexturePattern::Noise, 3);
+        return textures;
+    }
+
+    /** The record tests' unmutated frame. Columns 40-47 and 88-95
+     *  show the clear color. */
+    FrameCommands
+    recordBaseFrame() const
+    {
+        FrameCommands base;
+        base.clearColor = Color(12, 12, 24);
+        base.draws.push_back(pixelQuad(ShaderKind::Textured, 0, 0, 40, 32));
+        base.draws.push_back(
+            pixelQuad(ShaderKind::VertexColor, 48, 0, 88, 32));
+        base.draws.push_back(pixelQuad(ShaderKind::TexLit, 0, 32, 40, 64));
+        base.draws.push_back(pixelQuad(ShaderKind::Flat, 48, 32, 88, 64,
+                                       0.25f));
+        base.draws.push_back(pixelQuad(ShaderKind::Flat, 48, 32, 88, 64,
+                                       0.75f));
+        base.draws.push_back(pixelQuad(ShaderKind::Flat, 8, 8, 56, 56));
+        base.draws[textured].state.textureId = 0;
+        // pixelQuad's vertices are corners a, b, c, a, c, d.
+        const Vec4 corners[] = {{1, 0, 0, 1}, {0, 1, 0, 1}, {0, 0, 1, 1},
+                                {1, 1, 1, 1}};
+        const int cornerOf[] = {0, 1, 2, 0, 2, 3};
+        for (int i = 0; i < 6; i++)
+            base.draws[vertexColored].vertices[i].color =
+                corners[cornerOf[i]];
+        base.draws[lit].state.textureId = 1;
+        for (int d : {nearQuad, farQuad})
+            base.draws[d].state.depthTest = true;
+        base.draws[nearQuad].state.uniforms.tint = {1, 0, 0, 1};
+        base.draws[farQuad].state.uniforms.tint = {0, 0, 1, 1};
+        base.draws[overlay].state.uniforms.tint = {0.2f, 0.4f, 0.6f, 0.5f};
+        return base;
+    }
+
+    using Mutation =
+        std::pair<const char *, std::function<void(FrameCommands &)>>;
+
+    /** One mutation of recordBaseFrame per input of a tile record's
+     *  key. */
+    static std::vector<Mutation>
+    keyMutations()
+    {
+        return {
+            {"vertex position", [](FrameCommands &c) {
+                 c.draws[textured].vertices[1].position.x += 0.25f;
+             }},
+            {"texcoord", [](FrameCommands &c) {
+                 c.draws[textured].vertices[0].texcoord = {0.3f, 0.2f};
+             }},
+            {"vertex color", [](FrameCommands &c) {
+                 c.draws[vertexColored].vertices[0].color = {0, 0, 0, 1};
+             }},
+            {"diffuse", [](FrameCommands &c) {
+                 c.draws[lit].state.uniforms.lightDir = {1, 0, 1};
+             }},
+            {"depth under a depth test", [](FrameCommands &c) {
+                 for (Vertex &v : c.draws[nearQuad].vertices)
+                     v.position.z = 0.8f;
+             }},
+            {"tint", [](FrameCommands &c) {
+                 c.draws[overlay].state.uniforms.tint = {0.9f, 0.1f, 0.1f,
+                                                         0.5f};
+             }},
+            {"blendMode", [](FrameCommands &c) {
+                 c.draws[overlay].state.blendMode = BlendMode::AlphaBlend;
+             }},
+            {"depthWrite", [](FrameCommands &c) {
+                 c.draws[nearQuad].state.depthWrite = false;
+             }},
+            {"textureId", [](FrameCommands &c) {
+                 c.draws[textured].state.textureId = 1;
+             }},
+            {"clear color", [](FrameCommands &c) {
+                 c.clearColor = Color(200, 0, 0);
+             }},
+        };
+    }
+
+    /** A frame of the record tests: its commands, the input mutated
+     *  ("" if none), and whether it repeats the previous frame. */
+    struct RecordStep
+    {
+        FrameCommands commands;
+        std::string what;
+        bool unchanged;
+    };
+
+    /** Frames 0-2 draw the base frame, frame 2 unchanged. Then per
+     *  mutation: the mutated frame, the base frame, and the base frame
+     *  unchanged. */
+    std::vector<RecordStep>
+    recordSteps(const std::vector<Mutation> &mutations) const
+    {
+        const FrameCommands base = recordBaseFrame();
+        std::vector<RecordStep> steps(3, {base, "", true});
+        for (const auto &[what, mutate] : mutations) {
+            steps.push_back({base, what, false});
+            mutate(steps.back().commands);
+            steps.push_back({base, "", false});
+            steps.push_back({base, "", true});
+        }
+        return steps;
+    }
+};
+
+/** A MemTraceSink that logs every call, to compare event streams. */
+struct LoggingSink : MemTraceSink
+{
+    struct Call
+    {
+        char kind = 0;
+        Addr addr = 0;
+        u32 arg = 0;             //!< bytes, or a texture-cache index
+        std::array<Addr, 4> texels{};
+        bool operator==(const Call &) const = default;
+    };
+    std::vector<Call> log;
+
+    void vertexFetch(Addr a, u32 b) override { log.push_back({'v', a, b}); }
+    void parameterWrite(Addr a, u32 b) override
+    { log.push_back({'w', a, b}); }
+    void parameterRead(Addr a, u32 b) override { log.push_back({'r', a, b}); }
+    void texelFetch(u32 cache, Addr a) override
+    { log.push_back({'t', a, cache}); }
+    void
+    texelFetches(u32 cache, std::span<const Addr> addrs) override
+    {
+        Call call{'T', addrs.size(), cache};
+        EXPECT_LE(addrs.size(), call.texels.size());
+        std::copy_n(addrs.begin(), std::min(addrs.size(), call.texels.size()),
+                    call.texels.begin());
+        log.push_back(call);
+    }
+    void colorFlush(Addr a, u32 b) override { log.push_back({'f', a, b}); }
+    void colorRead(Addr a, u32 b) override { log.push_back({'c', a, b}); }
 };
 
 } // namespace
@@ -476,92 +643,8 @@ TEST_F(PipeFixture, SkippedTilesGroundTruthMatchesAFreshRender)
         bool shouldRenderTile(TileId) override { return frame < 2; }
     };
 
-    std::vector<Texture> textures;
-    textures.emplace_back(0, 64, 64, TexturePattern::Checker, 5);
-    textures.emplace_back(1, 32, 32, TexturePattern::Noise, 3);
-
-    // Draws by index: a textured quad, a vertex-colored quad, a lit
-    // textured quad, a near and a far depth-tested quad over the same
-    // pixels, and a translucent flat overlay. Columns 40-47 and 88-95
-    // show the clear color.
-    enum { textured, vertexColored, lit, nearQuad, farQuad, overlay };
-    FrameCommands base;
-    base.clearColor = Color(12, 12, 24);
-    base.draws.push_back(pixelQuad(ShaderKind::Textured, 0, 0, 40, 32));
-    base.draws.push_back(
-        pixelQuad(ShaderKind::VertexColor, 48, 0, 88, 32));
-    base.draws.push_back(pixelQuad(ShaderKind::TexLit, 0, 32, 40, 64));
-    base.draws.push_back(pixelQuad(ShaderKind::Flat, 48, 32, 88, 64,
-                                   0.25f));
-    base.draws.push_back(pixelQuad(ShaderKind::Flat, 48, 32, 88, 64,
-                                   0.75f));
-    base.draws.push_back(pixelQuad(ShaderKind::Flat, 8, 8, 56, 56));
-    base.draws[textured].state.textureId = 0;
-    // pixelQuad's vertices are corners a, b, c, a, c, d.
-    const Vec4 corners[] = {{1, 0, 0, 1}, {0, 1, 0, 1}, {0, 0, 1, 1},
-                            {1, 1, 1, 1}};
-    const int cornerOf[] = {0, 1, 2, 0, 2, 3};
-    for (int i = 0; i < 6; i++)
-        base.draws[vertexColored].vertices[i].color = corners[cornerOf[i]];
-    base.draws[lit].state.textureId = 1;
-    for (int d : {nearQuad, farQuad})
-        base.draws[d].state.depthTest = true;
-    base.draws[nearQuad].state.uniforms.tint = {1, 0, 0, 1};
-    base.draws[farQuad].state.uniforms.tint = {0, 0, 1, 1};
-    base.draws[overlay].state.uniforms.tint = {0.2f, 0.4f, 0.6f, 0.5f};
-
-    const std::pair<const char *, std::function<void(FrameCommands &)>>
-        mutations[] = {
-            {"vertex position", [](FrameCommands &c) {
-                 c.draws[textured].vertices[1].position.x += 0.25f;
-             }},
-            {"texcoord", [](FrameCommands &c) {
-                 c.draws[textured].vertices[0].texcoord = {0.3f, 0.2f};
-             }},
-            {"vertex color", [](FrameCommands &c) {
-                 c.draws[vertexColored].vertices[0].color = {0, 0, 0, 1};
-             }},
-            {"diffuse", [](FrameCommands &c) {
-                 c.draws[lit].state.uniforms.lightDir = {1, 0, 1};
-             }},
-            {"depth under a depth test", [](FrameCommands &c) {
-                 for (Vertex &v : c.draws[nearQuad].vertices)
-                     v.position.z = 0.8f;
-             }},
-            {"tint", [](FrameCommands &c) {
-                 c.draws[overlay].state.uniforms.tint = {0.9f, 0.1f, 0.1f,
-                                                         0.5f};
-             }},
-            {"blendMode", [](FrameCommands &c) {
-                 c.draws[overlay].state.blendMode = BlendMode::AlphaBlend;
-             }},
-            {"depthWrite", [](FrameCommands &c) {
-                 c.draws[nearQuad].state.depthWrite = false;
-             }},
-            {"textureId", [](FrameCommands &c) {
-                 c.draws[textured].state.textureId = 1;
-             }},
-            {"clear color", [](FrameCommands &c) {
-                 c.clearColor = Color(200, 0, 0);
-             }},
-        };
-
-    // Frames 0-2 draw the base scene, frame 2 unchanged and skipped.
-    // Then per mutation: the mutated frame, the base frame, and the
-    // base frame unchanged.
-    struct Step
-    {
-        FrameCommands commands;
-        std::string what;  //!< the input mutated, "" if none
-        bool unchanged;
-    };
-    std::vector<Step> steps(3, {base, "", true});
-    for (const auto &[what, mutate] : mutations) {
-        steps.push_back({base, what, false});
-        mutate(steps.back().commands);
-        steps.push_back({base, "", false});
-        steps.push_back({base, "", true});
-    }
+    const std::vector<Texture> textures = recordTextures();
+    const std::vector<RecordStep> steps = recordSteps(keyMutations());
 
     const u32 numTiles = config.numTiles();
     for (unsigned jobs : {1u, 4u}) {
@@ -573,7 +656,7 @@ TEST_F(PipeFixture, SkippedTilesGroundTruthMatchesAFreshRender)
         pipe.setTileJobs(jobs);
         std::vector<std::vector<Color>> lastFresh(numTiles);
         for (u64 f = 0; f < steps.size(); f++) {
-            const Step &step = steps[f];
+            const RecordStep &step = steps[f];
             SCOPED_TRACE("frame " + std::to_string(f) + " " + step.what);
             const std::vector<Color> back = pipe.frameBuffer().backSurface();
             const FrameResult r = pipe.renderFrame(step.commands);
@@ -603,5 +686,119 @@ TEST_F(PipeFixture, SkippedTilesGroundTruthMatchesAFreshRender)
         }
         EXPECT_EQ(reg.counter("raster.tilesEliminated"),
                   (steps.size() - 2) * numTiles);
+    }
+}
+
+TEST_F(PipeFixture, RenderedTilesFromRecordsMatchAFreshRender)
+{
+    // A pipeline without a memo client serves a rendered tile whose
+    // inputs equal its record's from the record: its colors and stats,
+    // and its memory events replayed with this frame's Parameter Buffer
+    // addresses. Every rendered tile must match a fresh render into a
+    // logging sink: its colors on the front surface, its
+    // TileRenderStats, and its slice of the pipeline's memory events.
+    // The frames are the key mutations of
+    // SkippedTilesGroundTruthMatchesAFreshRender, then a Parameter
+    // Buffer shift: the textured quad gains a small triangle in tile
+    // 0, so every later primitive's pbAddr moves while every other
+    // tile's key stays equal. The shift is reverted and repeated once
+    // unchanged, too.
+    const std::vector<Texture> textures = recordTextures();
+    std::vector<Mutation> mutations = keyMutations();
+    const DrawCall extra = pixelQuad(ShaderKind::Textured, 2, 2, 10, 10);
+    mutations.push_back(
+        {"Parameter Buffer shift", [&](FrameCommands &c) {
+             std::vector<Vertex> &v = c.draws[textured].vertices;
+             v.insert(v.end(), extra.vertices.begin(),
+                      extra.vertices.begin() + 3);
+         }});
+    const std::vector<RecordStep> steps = recordSteps(mutations);
+    const std::string shift = mutations.back().first;
+
+    const u32 numTiles = config.numTiles();
+    for (bool withTe : {false, true}) {
+        for (unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(std::string(withTe ? "TE" : "no hooks")
+                         + ", tile-jobs " + std::to_string(jobs));
+            StatRegistry reg;
+            LoggingSink sink;
+            TransactionElimination te(config, reg);
+            GraphicsPipeline pipe(config, reg, &sink, textures);
+            if (withTe)
+                pipe.setHooks(&te);
+            pipe.setTileJobs(jobs);
+            std::vector<std::vector<PrimRef>> lastLists;
+            for (u64 f = 0; f < steps.size(); f++) {
+                const RecordStep &step = steps[f];
+                SCOPED_TRACE("frame " + std::to_string(f) + " "
+                             + step.what);
+                std::vector<Addr> flushAddr(numTiles);
+                for (TileId t = 0; t < numTiles; t++)
+                    flushAddr[t] = pipe.frameBuffer().tileAddr(t);
+                sink.log.clear();
+                const FrameResult r = pipe.renderFrame(step.commands);
+                const std::vector<Color> front = frontSurface(pipe);
+
+                // Geometry's events come first; then each tile's render
+                // and, if flushed, its flush.
+                std::size_t pos = 0;
+                while (pos < sink.log.size()
+                       && (sink.log[pos].kind == 'v'
+                           || sink.log[pos].kind == 'w'))
+                    pos++;
+                for (TileId t = 0; t < numTiles; t++) {
+                    ASSERT_TRUE(r.tiles[t].rendered);
+                    LoggingSink freshSink;
+                    std::vector<Color> fresh;
+                    const TileRenderStats freshStats =
+                        TileRenderer(config, &freshSink, textures)
+                            .renderTile(t, r.binned, step.commands.draws,
+                                        step.commands.clearColor, fresh);
+                    EXPECT_TRUE(tileMatches(front, t, fresh))
+                        << "tile " << t;
+                    EXPECT_TRUE(r.tiles[t].stats == freshStats)
+                        << "tile " << t;
+                    const std::size_t n = freshSink.log.size();
+                    ASSERT_LE(pos + n, sink.log.size()) << "tile " << t;
+                    EXPECT_TRUE(std::equal(freshSink.log.begin(),
+                                           freshSink.log.end(),
+                                           sink.log.begin() + pos))
+                        << "tile " << t << ": " << n << " events";
+                    pos += n;
+                    if (r.tiles[t].flushed) {
+                        ASSERT_LT(pos, sink.log.size()) << "tile " << t;
+                        const LoggingSink::Call flush{
+                            'f', flushAddr[t],
+                            pipe.frameBuffer().tileBytes(t)};
+                        EXPECT_TRUE(sink.log[pos] == flush) << "tile " << t;
+                        pos++;
+                    }
+                }
+                EXPECT_EQ(pos, sink.log.size());
+
+                if (f == 0) {
+                    EXPECT_EQ(r.renderedFromRecord, 0u);
+                } else if (step.unchanged) {
+                    EXPECT_EQ(r.renderedFromRecord, numTiles);
+                }
+                if (!step.what.empty()) {
+                    EXPECT_LT(r.renderedFromRecord, numTiles);
+                }
+                if (step.what == shift) {
+                    // Only tile 0 lists the new triangle; every other
+                    // tile is served from its record, and some of
+                    // them read their primitives at moved addresses.
+                    EXPECT_EQ(r.renderedFromRecord, numTiles - 1);
+                    u32 moved = 0;
+                    for (TileId t = 1; t < numTiles; t++)
+                        for (std::size_t i = 0;
+                             i < r.binned.tileLists[t].size(); i++)
+                            moved += r.binned.tileLists[t][i].pbAddr
+                                != lastLists[t][i].pbAddr;
+                    EXPECT_GT(moved, 0u);
+                }
+                lastLists = r.binned.tileLists;
+            }
+        }
     }
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -178,6 +179,39 @@ TEST(Sampler, NonFiniteAndHugeCoordinatesClamp)
             EXPECT_EQ(Sampler::sample(tex, s, t, &touched), tex.texel(0, 0))
                 << "s=" << s << " t=" << t;
             EXPECT_EQ(touched.addr[0], tex.texelAddr(0, 0));
+        }
+    }
+}
+
+TEST(Sampler, FootprintFromTheFirstTexelMatchesSampleLanes)
+{
+    // A tile record keeps only each sample's first texel index; the
+    // other three must be the ones sampleLanes fetched, at every wrap
+    // edge of non-square textures: texel coordinates -1, 0, the last
+    // column or row, and one past it. Lane k samples u = x + 0.25 and
+    // v = y + 0.25 + k, so the four lanes cover four rows at once.
+    for (const auto &[w, h] : {std::pair{8u, 2u}, std::pair{2u, 8u},
+                               std::pair{1u, 4u}, std::pair{16u, 1u},
+                               std::pair{64u, 32u}}) {
+        const Texture tex(0, w, h, TexturePattern::Noise, 3);
+        const i32 iw = static_cast<i32>(w);
+        const i32 ih = static_cast<i32>(h);
+        for (i32 y = -1; y <= ih; y += 4) {
+            for (i32 x = -1; x <= iw; x++) {
+                const float s = (x + 0.75f) / static_cast<float>(w);
+                const Lanes4 t = (Lanes4{0, 1, 2, 3} + (y + 0.75f))
+                    / static_cast<float>(h);
+                U32Lanes4 texels[4] = {};
+                Sampler::sampleLanes(tex, Lanes4{} + s, t, texels);
+                for (int lane = 0; lane < 4; lane++) {
+                    const std::array<u32, 4> fp =
+                        Sampler::footprint(tex, texels[0][lane]);
+                    for (int k = 0; k < 4; k++)
+                        ASSERT_EQ(fp[k], texels[k][lane])
+                            << w << "x" << h << " texel (" << x << ", "
+                            << y + lane << ") fetch " << k;
+                }
+            }
         }
     }
 }
