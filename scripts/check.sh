@@ -41,7 +41,8 @@
 #    the two results-ledger tests (real scenes through suite_cli),
 #    test_trace (hostile, CRC-valid payloads through the trace parser)
 #    and test_pipeline_integration (tiles served from their records,
-#    whose replay indexes textures by recorded texel indices);
+#    whose texel captures the merge sends by indexing textures with
+#    captured texel indices);
 #    TSan (-DREGPU_SANITIZE=thread) runs the ParallelRunner
 #    determinism + contention-stress suites plus the observability
 #    suite (per-thread ring attach/park under an 8-worker pool).
@@ -258,8 +259,9 @@ run_sanitize_pass() {
     gate_begin asan
     echo "== sanitize configure (ASan + UBSan) =="
     # Examples stay on: the results-ledger tests drive suite_cli, so
-    # real scenes run the tile pool's recorder replay and the cache
-    # model under the sanitizers, not only the unit suites.
+    # real scenes run the merge's emission of each tile's texel capture
+    # and the cache model under the sanitizers, not only the unit
+    # suites.
     cmake -B "$SANITIZE_DIR" -S . -DREGPU_SANITIZE=address \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DREGPU_BUILD_BENCHES=OFF -DREGPU_BUILD_EXAMPLES=ON
@@ -271,9 +273,9 @@ run_sanitize_pass() {
     (cd "$SANITIZE_DIR" && ctest --output-on-failure -j"$(nproc)" -L unit)
     # test_trace and test_pipeline_integration are labelled
     # integration, but hostile trace payloads reach the parser in the
-    # one, and the other replays tiles from their records, indexing
-    # textures by recorded texel indices, so both run under the
-    # sanitizers too.
+    # one, and in the other the merge sends tiles' texel captures,
+    # records' included, indexing textures by captured texel indices,
+    # so both run under the sanitizers too.
     (cd "$SANITIZE_DIR" \
          && ctest --output-on-failure -j2 --no-tests=error \
                   -R '^(results_ledger_tile_jobs_(1|4)|test_trace|test_pipeline_integration)$')
@@ -520,6 +522,24 @@ if [[ "${1:-}" != "--unit" ]]; then
         fi
     done
     [ "$tile_artifacts" -gt 0 ]
+    # The per-frame counter tracks (tiles served from records, texel
+    # repeat hits, ...) sit in the timeline, whose timestamps differ
+    # from run to run: compare each track's values instead.
+    python3 - "$tile1_obs_dir" "$tile_obs_dir" <<'EOF'
+import json, sys
+def tracks(d):
+    out = {}
+    for e in json.load(open(d + "/timeline.trace.json"))["traceEvents"]:
+        if e["ph"] == "C":
+            out.setdefault(e["cat"] + "." + e["name"], []).append(e["args"])
+    return out
+one, eight = tracks(sys.argv[1]), tracks(sys.argv[2])
+assert "gpu.texelRepeatHitsPerFrame" in one, sorted(one)
+differ = sorted(k for k in one.keys() | eight.keys()
+                if one.get(k) != eight.get(k))
+assert not differ, f"counter tracks differ at --tile-jobs 1 and 8: {differ}"
+print(f"{len(one)} obs counter tracks are identical at --tile-jobs 1 and 8")
+EOF
     echo "tile-pool CSV is bit-identical across --tile-jobs 1/4/8 (obs on/off)"
     echo "$tile_artifacts obs artifacts are bit-identical at --tile-jobs 1 and 8"
 

@@ -97,7 +97,7 @@ GpuConfig::validate() const
                   ") must equal the L2's (", l2Cache.lineBytes, ")");
     if (numTextureCaches == 0)
         fatal("GpuConfig: numTextureCaches must be >= 1 (got 0)");
-    // A tile record keeps each texel sample's texture cache in a byte.
+    // A texel capture keeps each kept fetch's texture cache in a byte.
     if (numTextureCaches > 256)
         fatal("GpuConfig: numTextureCaches must be <= 256 (got ",
               numTextureCaches, ")");

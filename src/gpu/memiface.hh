@@ -54,6 +54,18 @@ class MemTraceSink
             texelFetch(textureCacheIndex, addr);
     }
 
+    /** The @p count fetches a tile's TexelRepeatFilter dropped for one
+     *  Texture Cache, after the tile's other fetches. Each was a hit
+     *  that reordered no set, and @p lastAddr, the tile's last fetch
+     *  through the cache, is its set's most recent line, so the default
+     *  gives any sink what the dropped fetches would have. */
+    virtual void
+    texelRepeatHits(u32 textureCacheIndex, Addr lastAddr, u32 count)
+    {
+        for (u32 i = 0; i < count; i++)
+            texelFetch(textureCacheIndex, lastAddr);
+    }
+
     /** Color Buffer flush of one tile to the Frame Buffer. */
     virtual void colorFlush(Addr addr, u32 bytes) = 0;
 

@@ -1,7 +1,6 @@
 #include "gpu/pipeline.hh"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <optional>
 #include <thread>
@@ -128,14 +127,14 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
     // reads only signatures geometry has finished writing and makes no
     // memory access, so taking it up front leaves the MemSystem's event
     // stream unchanged. Then phase1(t) renders tile t into a private
-    // TileTask and merge(t) folds everything order-sensitive back on
-    // this thread in strict tile order. The pool runs phase 1 on
-    // tileJobs workers, each recording its memory accesses for the
-    // merge to replay. The direct schedule runs phase1(t) and merge(t)
-    // inline, back to back: it renders straight into the shared
-    // MemSystem and reuses one task slot so its buffers keep their
-    // capacity across tiles. Both produce the per-tile stream [render
-    // traffic][flush], which keeps output bit-identical across
+    // TileTask, its texel fetches into a filtered TexelCapture, and
+    // merge(t) folds everything order-sensitive back on this thread in
+    // strict tile order, sending the tile's memory events from its
+    // capture. The pool runs phase 1 on tileJobs workers. The direct
+    // schedule runs phase1(t) and merge(t) inline, back to back, and
+    // reuses one task slot so its buffers keep their capacity across
+    // tiles. Both produce the per-tile stream [render traffic][flush]
+    // from the same captures, which keeps output bit-identical across
     // --tile-jobs values. The merge sums each tile's counts into the
     // frame's FrameTotals, which reach the StatRegistry once, after
     // the last merge, and return in FrameResult::totals.
@@ -196,44 +195,6 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                 return false;
         return true;
     };
-    // Emit into @p sink, if any, the memory events of tile t's render
-    // from its matching record, as renderTile does: per listed
-    // primitive in order, its parameterRead at this frame's Parameter
-    // Buffer address, then one texelFetches call per recorded sample.
-    // Returns the bytes those reads fetch.
-    auto replayRecord = [&](TileId tile, MemTraceSink *sink) {
-        const TileRecord &rec = records[tile];
-        const std::vector<PrimRef> &list = result.binned.tileLists[tile];
-        const u32 *first = rec.texels.firstTexel.data();
-        const u8 *cache = rec.texels.cache.data();
-        u64 bytes = 0;
-        for (std::size_t i = 0; i < list.size(); i++) {
-            const PrimRef &ref = list[i];
-            bytes += ref.pbBytes;
-            if (!sink)
-                continue;
-            sink->parameterRead(ref.pbAddr, ref.pbBytes);
-            const u32 samples = rec.texels.samples[i];
-            if (!samples)
-                continue;
-            // A primitive that sampled had a texture bound, and its
-            // textureId is part of the key.
-            const Primitive &prim = result.binned.primitives[ref.primIndex];
-            const Texture &tex =
-                textures[commands.draws[prim.drawIndex].state.textureId];
-            for (u32 k = 0; k < samples; k++) {
-                const std::array<u32, 4> texel =
-                    Sampler::footprint(tex, first[k]);
-                const std::array<Addr, 4> addrs = {
-                    tex.indexAddr(texel[0]), tex.indexAddr(texel[1]),
-                    tex.indexAddr(texel[2]), tex.indexAddr(texel[3])};
-                sink->texelFetches(cache[k], addrs);
-            }
-            first += samples;
-            cache += samples;
-        }
-        return bytes;
-    };
     {
         // Scoped so the per-frame tile tasks are freed inside the
         // raster span, before frameEnd(), which ends the raster phase
@@ -248,9 +209,8 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
         struct TileTask
         {
             std::vector<Color> colors;  //!< used when not recording
-            MemEventRecorder memEvents;
             TileRenderStats renderStats;
-            TexelCapture texels;        //!< a fresh render's, for its record
+            TexelCapture texels;        //!< a fresh render's
             u32 preparedFlush = 0;
             bool equalColors = false;
             bool fromRecord = false;    //!< served by the tile's record
@@ -263,14 +223,13 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
             return recording ? records[tile].colors : taskFor(tile).colors;
         };
 
-        // A rendered tile renders into the schedule's memory sink, and a
+        // A rendered tile renders with the memo client, if any, and a
         // skipped one, for its ground truth, as a shadow render: no
-        // memory sink, no memo client, stats not charged. A matching
-        // record serves either: its colors, its stats and, for a
-        // rendered tile, its memory events. A render is a function of
-        // the key, the tile and the pipeline's constants, except for
-        // the Parameter Buffer addresses and sizes, which the replay
-        // takes from this frame's PrimRefs.
+        // memo client, stats not charged, events not sent. A matching
+        // record serves either with its colors, its stats and its
+        // texel capture. A render is a function of the key, the tile
+        // and the pipeline's constants, except for the Parameter Buffer
+        // addresses and sizes, which come from this frame's PrimRefs.
         auto phase1 = [&](TileId tile) {
             // Tile spans (raster + shade fused per tile) are per-tile
             // detail: numTiles events per frame, gated separately.
@@ -283,20 +242,19 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
                 return;
             TileTask &task = taskFor(tile);
             std::vector<Color> &colors = colorsOf(tile);
-            MemTraceSink *sink =
-                !rendered ? nullptr : direct ? mem : &task.memEvents;
             task.fromRecord = recording && recordMatches(tile);
             if (task.fromRecord) {
                 task.renderStats = records[tile].stats;
-                task.renderStats.parameterBytesRead =
-                    replayRecord(tile, sink);
+                task.renderStats.parameterBytesRead = 0;
+                for (const PrimRef &ref : result.binned.tileLists[tile])
+                    task.renderStats.parameterBytesRead += ref.pbBytes;
             } else {
                 task.renderStats =
-                    TileRenderer(config, sink, textures,
-                                 rendered ? memo : nullptr)
+                    TileRenderer(config, textures, rendered ? memo : nullptr)
                         .renderTile(tile, result.binned, commands.draws,
                                     commands.clearColor, colors,
-                                    recording ? &task.texels : nullptr);
+                                    rendered || recording ? &task.texels
+                                                          : nullptr);
             }
             // Per-tile-disjoint Back Buffer regions, written only by
             // this tile's own (strictly later) merge: safe.
@@ -329,10 +287,13 @@ GraphicsPipeline::renderFrame(const FrameCommands &commands,
             const std::vector<Color> &colors = colorsOf(tile);
             if (out.rendered) {
                 // The MemSystem's cache state depends on the access
-                // order, which is why replay happens here and not on
-                // the worker.
-                if (!direct && mem)
-                    task.memEvents.replay(*mem);
+                // order, which is why the events are sent here and not
+                // on the worker, from the record once it holds them.
+                if (mem)
+                    result.texelRepeatHits +=
+                        (recording ? records[tile].texels : task.texels)
+                            .emit(*mem, tile, result.binned,
+                                  commands.draws, textures);
                 out.stats = task.renderStats;
                 totals.addRendered(out.stats);
                 out.equalColors = task.equalColors;

@@ -174,6 +174,10 @@ struct FrameResult
     /** Rendered tiles served from the tile's record instead of
      *  rasterized. Host-side, like groundTruthFromRecord. */
     u64 renderedFromRecord = 0;
+    /** Texel fetches of rendered tiles that the merge sent the memory
+     *  sink as repeat hits (TexelRepeatFilter) instead of one by one.
+     *  Host-side, like groundTruthFromRecord. */
+    u64 texelRepeatHits = 0;
 };
 
 /**
@@ -206,7 +210,7 @@ class GraphicsPipeline
      *        for every tile - needed by Fig. 15a and correctness tests.
      *        Any tile whose inputs equal its record's, rendered or
      *        skipped, takes the record's colors instead of a render;
-     *        a rendered one also replays the record's memory events.
+     *        a rendered one also sends the record's texel capture.
      */
     FrameResult renderFrame(const FrameCommands &commands,
                             bool groundTruth = true);

@@ -29,6 +29,7 @@ struct RasterScratch
     std::vector<float> colW1;  //!< per-column products of edge w1
     std::vector<u32> quadCol;  //!< per tile column: (px >> 1) % caches
     std::vector<u32> quadRow;  //!< per tile row: (py >> 1) % caches
+    TexelRepeatFilter filter;  //!< the tile's texel repeats
 };
 
 RasterScratch &
@@ -92,6 +93,59 @@ laneMask(u32 bits)
 }
 
 } // namespace
+
+void
+TexelRepeatFilter::beginTile(const GpuConfig &config)
+{
+    const CacheParams &cache = config.textureCache;
+    const u64 sets = cache.sizeBytes / (u64{cache.lineBytes} * cache.ways);
+    lineShift = static_cast<u32>(std::countr_zero(cache.lineBytes));
+    setBits = static_cast<u32>(std::countr_zero(sets));
+    setMask = sets - 1;
+    slots.resize(std::size_t{config.numTextureCaches} << setBits);
+    generation++;
+}
+
+u64
+TexelCapture::emit(MemTraceSink &sink, TileId tile,
+                   const BinnedFrame &frame,
+                   const std::vector<DrawCall> &draws,
+                   const std::vector<Texture> &textures) const
+{
+    const std::vector<PrimRef> &list = frame.tileLists[tile];
+    REGPU_ASSERT(primFirst.size() == list.size(),
+                 "texel capture of another primitive list");
+    // A run of kept fetches through one cache goes as one call.
+    std::array<Addr, 16> run;
+    for (std::size_t i = 0; i < list.size(); i++) {
+        const PrimRef &ref = list[i];
+        sink.parameterRead(ref.pbAddr, ref.pbBytes);
+        std::size_t k = primFirst[i];
+        const std::size_t end =
+            i + 1 < list.size() ? primFirst[i + 1] : texel.size();
+        if (k == end)
+            continue;
+        // A primitive that fetched had a texture bound.
+        const Primitive &prim = frame.primitives[ref.primIndex];
+        const Texture &tex =
+            textures[draws[prim.drawIndex].state.textureId];
+        while (k < end) {
+            const u32 c = cache[k];
+            std::size_t n = 0;
+            while (k < end && cache[k] == c && n < run.size())
+                run[n++] = tex.indexAddr(texel[k++]);
+            sink.texelFetches(c, {run.data(), n});
+        }
+    }
+    u64 dropped = 0;
+    for (u32 c = 0; c < repeats.size(); c++) {
+        if (repeats[c].count) {
+            sink.texelRepeatHits(c, repeats[c].lastAddr, repeats[c].count);
+            dropped += repeats[c].count;
+        }
+    }
+    return dropped;
+}
 
 u32
 TileRenderer::fragmentSignature(const DrawCall &draw, Vec4 color,
@@ -176,10 +230,15 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
 
     if (memo)
         memo->tileBegin(tile);
+    TexelRepeatFilter &filter = scratch.filter;
+    TexelCapture::Repeats *repeats = nullptr;
     if (capture) {
-        capture->samples.clear();
-        capture->firstTexel.clear();
+        filter.beginTile(config);
+        capture->primFirst.clear();
+        capture->texel.clear();
         capture->cache.clear();
+        capture->repeats.assign(caches, {});
+        repeats = capture->repeats.data();
     }
 
     for (const PrimRef &ref : frame.tileLists[tile]) {
@@ -197,10 +256,9 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
         // the Parameter Buffer through the Tile Cache.
         ts.primitivesFetched++;
         ts.parameterBytesRead += ref.pbBytes;
-        if (mem)
-            mem->parameterRead(ref.pbAddr, ref.pbBytes);
         if (capture)
-            capture->samples.push_back(0);
+            capture->primFirst.push_back(
+                static_cast<u32>(capture->texel.size()));
 
         // Rasterizer setup: edge functions from the vertices.
         const ShadedVertex &a = prim.v[0];
@@ -402,18 +460,21 @@ TileRenderer::renderTile(TileId tile, const BinnedFrame &frame,
                         const u32 quad = scratch.quadCol[px - tx0]
                             + scratch.quadRow[py - ty0];
                         const u32 cache = quad >= caches ? quad - caches : quad;
-                        if (mem) {
+                        if (capture) {
                             const std::array<Addr, 4> addrs = {
                                 tex->indexAddr(texels[0][lane]),
                                 tex->indexAddr(texels[1][lane]),
                                 tex->indexAddr(texels[2][lane]),
                                 tex->indexAddr(texels[3][lane])};
-                            mem->texelFetches(cache, addrs);
-                        }
-                        if (capture) {
-                            capture->samples.back()++;
-                            capture->firstTexel.push_back(texels[0][lane]);
-                            capture->cache.push_back(static_cast<u8>(cache));
+                            const u32 kept = filter.keptOfSample(cache, addrs);
+                            repeats[cache].count += 4 - laneCount(kept);
+                            repeats[cache].lastAddr = addrs[3];
+                            for (u32 rest = kept; rest; rest &= rest - 1) {
+                                capture->texel.push_back(
+                                    texels[std::countr_zero(rest)][lane]);
+                                capture->cache.push_back(
+                                    static_cast<u8>(cache));
+                            }
                         }
                         ts.texelFetches += 4;
                     }

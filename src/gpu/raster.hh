@@ -8,6 +8,7 @@
 #ifndef REGPU_GPU_RASTER_HH
 #define REGPU_GPU_RASTER_HH
 
+#include <array>
 #include <vector>
 
 #include "common/config.hh"
@@ -71,47 +72,129 @@ struct TileRenderStats
 };
 
 /**
- * A render's texel fetches, compactly: per listed primitive, how many
- * samples it fetched; per sample, its first texel index and its
- * texture cache. Sampler::footprint gives each sample's other three
- * texels, so the capture and the primitives' textures give back every
- * texelFetches call the render made, in order.
+ * Drops, within one tile, every texel fetch whose line is the most
+ * recent line the tile has fetched in that set of that texture cache:
+ * by the LRU stack property such a fetch hits and reorders no set,
+ * whatever the cache held when the tile began, so the cache model can
+ * count it instead (docs/ARCHITECTURE.md, "Phase 1"). One slot per set
+ * of each texture cache; beginTile empties them all by starting a new
+ * generation.
+ */
+class TexelRepeatFilter
+{
+  public:
+    /** Start a tile: one slot per set of each of @p config's texture
+     *  caches, none holding a line. */
+    void beginTile(const GpuConfig &config);
+
+    /** Whether a fetch of @p addr through texture cache @p cache is of
+     *  the most recent line this tile fetched in that set. If not, its
+     *  line becomes that. */
+    bool
+    repeats(u32 cache, Addr addr)
+    {
+        const Addr line = addr >> lineShift;
+        Slot &slot = slots[(std::size_t{cache} << setBits)
+                           + (line & setMask)];
+        if (slot.line == line && slot.generation == generation)
+            return true;
+        slot = {line, generation};
+        return false;
+    }
+
+    /** repeats() for one bilinear sample's four fetches, in order.
+     *  Fetches 1 and 3 sit beside 0 and 2 in a texel row, so most of
+     *  them share that fetch's line and repeat it without a lookup.
+     *  @return a bit per fetch kept, fetch 0 lowest */
+    u32
+    keptOfSample(u32 cache, const std::array<Addr, 4> &addrs)
+    {
+        u32 kept = 0;
+        for (u32 k = 0; k < 4; k++) {
+            if (k % 2 && addrs[k] >> lineShift == addrs[k - 1] >> lineShift)
+                continue;
+            if (!repeats(cache, addrs[k]))
+                kept |= 1u << k;
+        }
+        return kept;
+    }
+
+  private:
+    struct Slot
+    {
+        Addr line = 0;
+        u64 generation = 0;  //!< the tile that fetched line (0: none)
+    };
+    std::vector<Slot> slots;  //!< cache c's sets from c << setBits on
+    u64 generation = 0;
+    u32 lineShift = 0;
+    u32 setBits = 0;
+    Addr setMask = 0;
+};
+
+/**
+ * One render's texel fetches, as the cache model needs them: those a
+ * TexelRepeatFilter kept, in fetch order, and per texture cache a
+ * count of those it dropped. The capture and the tile's primitive list
+ * give back every memory event the cache model needs (emit).
  */
 struct TexelCapture
 {
-    std::vector<u32> samples;     //!< per listed primitive, in list order
-    std::vector<u32> firstTexel;  //!< per sample, in fetch order
-    std::vector<u8> cache;        //!< per sample: its texture cache
+    /** One texture cache's dropped fetches. */
+    struct Repeats
+    {
+        Addr lastAddr = 0;  //!< the address the cache fetched last
+        u32 count = 0;      //!< fetches dropped
+    };
+
+    std::vector<u32> primFirst;    //!< per listed primitive: its first
+                                   //!< kept fetch
+    std::vector<u32> texel;        //!< per kept fetch: its texel index
+    std::vector<u8> cache;         //!< per kept fetch: its texture cache
+    std::vector<Repeats> repeats;  //!< per texture cache
+
+    /**
+     * Send @p sink the memory events of the render of @p tile that this
+     * captured: per listed primitive, in order, a parameterRead at this
+     * frame's PrimRef, then its kept fetches; then, per texture cache,
+     * its dropped fetches as one texelRepeatHits. The caches end as the
+     * render's every fetch would have left them, with the same counts.
+     * The listed primitives must read the textures the render read.
+     * @return the fetches sent as repeat hits
+     */
+    u64 emit(MemTraceSink &sink, TileId tile, const BinnedFrame &frame,
+             const std::vector<DrawCall> &draws,
+             const std::vector<Texture> &textures) const;
 };
 
 /**
  * Renders one tile: the functional model of everything between the
- * Tile Scheduler and the Tile Flush. Charges no statistics itself: the
- * caller folds the returned TileRenderStats.
+ * Tile Scheduler and the Tile Flush. Charges no statistics and sends
+ * no memory events itself: the caller folds the returned
+ * TileRenderStats and emits the TexelCapture.
  *
  * The hot path does per primitive what does not change per fragment:
  * the shader kind, blend mode and instruction count, the varyings the
  * shader reads (only those are interpolated, and z only under a depth
  * test), and each edge function's per-column products. It steps four
  * pixels of a row at a time, one per lane, through coverage, the depth
- * test, interpolation, sampling and shading, then emits each covered
+ * test, interpolation, sampling and shading, then makes each covered
  * pixel's memo calls, texel fetches and blend in pixel order. Its float
  * work follows the contract in docs/ARCHITECTURE.md ("The raster
  * kernel's float contract"), so it matches tests/reference_raster.hh,
  * the naive per-pixel form, bit for bit. The Depth Buffer is
  * per-thread scratch, cleared at the tile's first depth-tested
- * primitive, so a warm renderTile allocates nothing.
+ * primitive, and so is the repeat filter, so a warm renderTile into a
+ * warm capture allocates nothing.
  */
 class TileRenderer
 {
   public:
-    /** @param _mem  memory sink; nullptr renders a "shadow" tile that
-     *               records no traffic (ground truth for skipped tiles)
-     *  @param _memo optional memoization hook (Fragment Memoization) */
-    TileRenderer(const GpuConfig &_config, MemTraceSink *_mem,
+    /** @param _memo optional memoization hook (Fragment Memoization) */
+    TileRenderer(const GpuConfig &_config,
                  const std::vector<Texture> &_textures,
                  FragmentMemoClient *_memo = nullptr)
-        : config(_config), mem(_mem), textures(_textures), memo(_memo)
+        : config(_config), textures(_textures), memo(_memo)
     {}
 
     /**
@@ -123,7 +206,9 @@ class TileRenderer
      * @param clearColor tile background
      * @param outColors  tileWidth*tileHeight colors, row-major
      * @param capture    if non-null, overwritten with the render's texel
-     *                   fetches, whether or not a memory sink is set
+     *                   fetches, through the calling thread's
+     *                   TexelRepeatFilter: the render's only memory
+     *                   events besides its parameter reads
      * @return per-tile statistics
      */
     TileRenderStats renderTile(TileId tile, const BinnedFrame &frame,
@@ -142,7 +227,6 @@ class TileRenderer
 
   private:
     const GpuConfig &config;
-    MemTraceSink *mem;
     const std::vector<Texture> &textures;
     FragmentMemoClient *memo;
 };

@@ -198,23 +198,6 @@ class Sampler
     }
 
     /**
-     * The texel indices one sample reads, in sampleLanes' fetch order,
-     * from the first of them: the other three follow by the same
-     * power-of-two wrap. So a record of a sample need keep only its
-     * first index.
-     */
-    static std::array<u32, 4>
-    footprint(const Texture &tex, u32 first)
-    {
-        const u32 x0 = first & (tex.width() - 1);
-        const u32 x1 = (x0 + 1) & (tex.width() - 1);
-        const u32 row0 = first - x0;
-        const u32 row1 =
-            (row0 + tex.width()) & (tex.width() * tex.height() - 1);
-        return {row0 + x0, row0 + x1, row1 + x0, row1 + x1};
-    }
-
-    /**
      * One sample: sampleLanes with (s, t) in every lane.
      * @param touched if non-null, overwritten with the texel addresses
      *                read

@@ -15,10 +15,10 @@
  *    per-tile-disjoint (the Frame Buffer's tile regions, the memo's
  *    tile streams) or per-thread (the memo LUT, the renderer's
  *    scratch buffers). Any claim order is sound.
- *  - merge(tile): everything order-sensitive — MemSystem replay,
- *    per-frame counter sums, signature-buffer writes, Frame Buffer tile
- *    flushes — executed by the caller, eagerly, for tile 0..N-1 as
- *    each step result becomes ready.
+ *  - merge(tile): everything order-sensitive — the tile's memory
+ *    events, per-frame counter sums, signature-buffer writes, Frame
+ *    Buffer tile flushes — executed by the caller, eagerly, for tile
+ *    0..N-1 as each step result becomes ready.
  *
  * With jobs <= 1 no threads are spawned and the pair is executed
  * inline per index, which is *definitionally* the serial loop; the
@@ -39,16 +39,18 @@ namespace regpu
 {
 
 /**
- * MemTraceSink that records every access instead of forwarding it, so
- * a worker can render a tile without touching the shared (cache-state-
- * order-sensitive) MemSystem; the merge phase then replays the events
- * into the real sink in exact renderTile emission order. One recorder
- * lives in each tile's task for one frame; clear() keeps the capacity
- * for a caller that records batch after batch into the same one.
+ * MemTraceSink that records every access instead of forwarding it, and
+ * replays them later, in order, into another sink. The tile loop does
+ * not use it: a tile's phase 1 captures its texel fetches in a
+ * TexelCapture, which the merge sends. It serves tests, and
+ * perfbench's TimedMemSink, which times accesses in batches. clear()
+ * keeps the capacity for a caller that records batch after batch into
+ * the same one.
  *
- * A texture sample is one event whose addresses sit in a side array,
- * so the replay makes one texelFetches call per sample, as the
- * rasterizer did; a lone texelFetch is recorded as a sample of one.
+ * A texelFetches call is one event whose addresses sit in a side
+ * array, so the replay makes the same call; a lone texelFetch is
+ * recorded as a call of one. A texelRepeatHits call arrives as the
+ * texelFetch calls of MemTraceSink's default.
  */
 class MemEventRecorder : public MemTraceSink
 {

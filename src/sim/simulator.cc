@@ -165,6 +165,8 @@ Simulator::run()
                    static_cast<double>(fr.groundTruthFromRecord));
         obsCounter("gpu", "renderedFromRecordPerFrame",
                    static_cast<double>(fr.renderedFromRecord));
+        obsCounter("gpu", "texelRepeatHitsPerFrame",
+                   static_cast<double>(fr.texelRepeatHits));
         obsCounter("te", "flushesElidedPerFrame",
                    static_cast<double>(totals.tileFlushesEliminated));
         obsCounter("gpu", "fragmentsShadedPerFrame",

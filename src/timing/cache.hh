@@ -80,6 +80,19 @@ class CacheModel
         return accessLine(addr, write, cls);
     }
 
+    /**
+     * Count @p count read hits on the most recent line of a set, as
+     * single-line accesses would: accesses, hits and demand bytes. Such
+     * a hit leaves every set's LRU order as it was, so no stamp moves.
+     */
+    void
+    repeatHits(u64 count, TrafficClass cls)
+    {
+        demandBytes_[static_cast<u8>(cls)] += count * params_.lineBytes;
+        accesses_ += count;
+        hits_ += count;
+    }
+
     /** Aggregate outcome of a multi-line access. */
     struct RangeOutcome
     {

@@ -83,6 +83,18 @@ MemSystem::texelFetches(u32 textureCacheIndex, std::span<const Addr> addrs)
 }
 
 void
+MemSystem::texelRepeatHits(u32 textureCacheIndex, Addr /*lastAddr*/,
+                           u32 count)
+{
+    REGPU_ASSERT(textureCacheIndex < texels_.size(),
+                 "texture cache index ", textureCacheIndex,
+                 " out of range");
+    // Hits on lines already resident: no miss, no stall, no traffic
+    // below the Texture Cache.
+    texels_[textureCacheIndex].cache.repeatHits(count, TrafficClass::Texels);
+}
+
+void
 MemSystem::colorFlush(Addr addr, u32 bytes)
 {
     if (bytes == 0)

@@ -114,6 +114,8 @@ class MemSystem : public MemTraceSink
     void texelFetch(u32 textureCacheIndex, Addr addr) override;
     void texelFetches(u32 textureCacheIndex,
                       std::span<const Addr> addrs) override;
+    void texelRepeatHits(u32 textureCacheIndex, Addr lastAddr,
+                         u32 count) override;
     void colorFlush(Addr addr, u32 bytes) override;
     void colorRead(Addr addr, u32 bytes) override;
 

@@ -5,7 +5,10 @@
  * function evaluated whole at every pixel, every varying interpolated
  * for every fragment, a std::floor sampler with scalar Vec4 lerps, a
  * scalar clamp-and-round color pack, and a fresh Depth Buffer per
- * tile. The four-lane fast path must match it bit for bit.
+ * tile. The four-lane fast path must match it bit for bit. It sends
+ * its raw memory stream, every fetch of every sample;
+ * ReferenceRepeatFilter is the naive form of the repeat filter the
+ * fast path's texel capture applies.
  *
  * Header-only on purpose: the tests/ tree has no library target.
  */
@@ -15,6 +18,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "gpu/memiface.hh"
@@ -223,6 +228,63 @@ referenceRenderTile(const GpuConfig &config, MemTraceSink *mem,
     }
     return ts;
 }
+
+/**
+ * TexelRepeatFilter's naive form, as a sink in front of @p out. It
+ * forwards every event, texel fetches one address at a time, but a
+ * texel fetch of the line most recently fetched in its set of its
+ * texture cache since the last endTile(). endTile() sends those it
+ * dropped, per texture cache in cache order, as one texelRepeatHits at
+ * the last address fetched through that cache.
+ */
+class ReferenceRepeatFilter : public MemTraceSink
+{
+  public:
+    ReferenceRepeatFilter(const GpuConfig &config, MemTraceSink &_out)
+        : lineBytes(config.textureCache.lineBytes),
+          sets(config.textureCache.sizeBytes
+               / (lineBytes * config.textureCache.ways)),
+          out(_out)
+    {}
+
+    void vertexFetch(Addr a, u32 n) override { out.vertexFetch(a, n); }
+    void parameterWrite(Addr a, u32 n) override
+    { out.parameterWrite(a, n); }
+    void parameterRead(Addr a, u32 n) override { out.parameterRead(a, n); }
+    void
+    texelFetch(u32 cache, Addr addr) override
+    {
+        const u64 line = addr / lineBytes;
+        const auto [it, first] = recent.try_emplace({cache, line % sets}, line);
+        if (!first && it->second == line) {
+            dropped[cache]++;
+        } else {
+            it->second = line;
+            out.texelFetch(cache, addr);
+        }
+        last[cache] = addr;
+    }
+    void colorFlush(Addr a, u32 n) override { out.colorFlush(a, n); }
+    void colorRead(Addr a, u32 n) override { out.colorRead(a, n); }
+
+    void
+    endTile()
+    {
+        for (const auto &[cache, count] : dropped)
+            out.texelRepeatHits(cache, last.at(cache), count);
+        recent.clear();
+        dropped.clear();
+        last.clear();
+    }
+
+  private:
+    u64 lineBytes;
+    u64 sets;
+    MemTraceSink &out;
+    std::map<std::pair<u32, u64>, u64> recent;  //!< (cache, set): line
+    std::map<u32, u32> dropped;                 //!< per cache
+    std::map<u32, Addr> last;                   //!< per cache
+};
 
 } // namespace regpu::testutil
 

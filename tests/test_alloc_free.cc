@@ -150,9 +150,10 @@ TEST(AllocFree, FragmentSignature)
 
 TEST(AllocFree, RenderTileSteadyState)
 {
-    // The Depth Buffer and the edge-function rows are per-thread
-    // scratch and the color vector keeps its capacity, so once warm a
-    // tile renders without touching the heap.
+    // The Depth Buffer, the edge-function rows and the texel repeat
+    // filter are per-thread scratch, and the color vector and the texel
+    // capture keep their capacity, so once warm a tile renders without
+    // touching the heap, with a capture or without.
     GpuConfig config;
     config.scaleResolution(64, 64);
     std::vector<Texture> textures;
@@ -173,16 +174,25 @@ TEST(AllocFree, RenderTileSteadyState)
         frame.primitives.push_back(p);
         frame.tileLists[0].push_back({d, 0x200000000ull, 64});
     }
-    TileRenderer renderer(config, nullptr, textures);
-    std::vector<Color> colors;
+    TileRenderer renderer(config, textures);
+    std::vector<Color> colors, capturedColors;
+    TexelCapture capture;
     renderer.renderTile(0, frame, draws, Color(0, 0, 0), colors);
+    renderer.renderTile(0, frame, draws, Color(0, 0, 0), capturedColors,
+                        &capture);
 
     AllocProbe probe;
     TileRenderStats ts =
         renderer.renderTile(0, frame, draws, Color(0, 0, 0), colors);
+    const TileRenderStats captured = renderer.renderTile(
+        0, frame, draws, Color(0, 0, 0), capturedColors, &capture);
     EXPECT_EQ(probe.count(), 0u);
     EXPECT_GT(ts.fragmentsShaded, 0u);
     EXPECT_GT(ts.texelFetches, 0u);
+    // Capturing changes neither the colors nor the work.
+    EXPECT_TRUE(captured == ts);
+    EXPECT_TRUE(capturedColors == colors);
+    EXPECT_GT(capture.texel.size(), 0u);
 }
 
 TEST(AllocFree, TransactionEliminationTileHashSteadyState)

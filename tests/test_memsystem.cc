@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "gpu/raster.hh"
 #include "gpu/texture.hh"
 #include "gpu/tile_pool.hh"
 #include "sim/simulator.hh"
@@ -266,8 +267,8 @@ TEST(MemSystem, FrameSummaryCarriesPerFrameDramDeltas)
 TEST(MemSystem, PerSampleTexelCallsMatchPerAddressCalls)
 {
     // One seeded stream of bilinear 2x2 footprints, as TileRenderer
-    // issues them: per address, per sample, and per sample recorded
-    // by the tile pool's MemEventRecorder and replayed at the merge.
+    // samples them: per address, per sample, and per sample recorded
+    // by a MemEventRecorder and replayed.
     GpuConfig cfg;
     MemSystem perAddress(cfg), perSample(cfg), replayed(cfg);
     const Texture tex(3, 256, 256, TexturePattern::Solid, 1);
@@ -333,6 +334,146 @@ TEST(MemSystem, PerSampleTexelCallsMatchPerAddressCalls)
     // The stream re-hits lines as the renderer's does.
     EXPECT_GT(perAddress.textureCacheRef(0).hits(),
               perAddress.textureCacheRef(0).misses());
+}
+
+TEST(MemSystem, FilteredTexelStreamsMatchEveryFetch)
+{
+    // Seeded streams of bilinear samples, scanline steps with random
+    // jumps, cut into "tiles" of random length, each ending in a color
+    // flush and a read-back, so the texture misses reach the L2 and
+    // DRAM interleaved with other traffic. A takes every fetch. B takes
+    // only the fetches a TexelRepeatFilter keeps, then each cache's
+    // dropped ones as one texelRepeatHits at the tile's end. C takes
+    // B's events through a sink that keeps MemTraceSink's default
+    // texelRepeatHits, as perfbench's TimedMemSink does. The filter
+    // drops only fetches that hit and reorder no set, so all three end
+    // with the same counters, stalls and traffic.
+    struct Forward : MemTraceSink
+    {
+        MemTraceSink &inner;
+        explicit Forward(MemTraceSink &_inner) : inner(_inner) {}
+        void vertexFetch(Addr a, u32 n) override { inner.vertexFetch(a, n); }
+        void parameterWrite(Addr a, u32 n) override
+        { inner.parameterWrite(a, n); }
+        void parameterRead(Addr a, u32 n) override
+        { inner.parameterRead(a, n); }
+        void texelFetch(u32 cache, Addr a) override
+        { inner.texelFetch(cache, a); }
+        void colorFlush(Addr a, u32 n) override { inner.colorFlush(a, n); }
+        void colorRead(Addr a, u32 n) override { inner.colorRead(a, n); }
+    };
+    const std::vector<Texture> textures = {
+        Texture(0, 256, 256, TexturePattern::Solid, 1),
+        Texture(5, 64, 512, TexturePattern::Solid, 2)};
+
+    for (u32 ways : {1u, 2u, 8u}) {
+        for (u32 caches : {1u, 4u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << ways << "-way, " << caches << " caches");
+            GpuConfig cfg;
+            cfg.textureCache.ways = ways;
+            cfg.numTextureCaches = caches;
+            cfg.validate();
+            MemSystem every(cfg), filtered(cfg), viaDefault(cfg);
+            Forward forward(viaDefault);
+            TexelRepeatFilter filter;
+            Rng rng(0x5eed + 16 * ways + caches);
+            u64 dropped = 0;
+            for (int frame = 0; frame < 3; frame++) {
+                for (int tile = 0; tile < 40; tile++) {
+                    const Texture &tex = textures[rng.nextBounded(2)];
+                    float s = rng.nextFloat(), t = rng.nextFloat();
+                    filter.beginTile(cfg);
+                    std::vector<u32> repeats(caches, 0);
+                    std::vector<Addr> last(caches, 0);
+                    const u64 samples = 1 + rng.nextBounded(600);
+                    for (u64 i = 0; i < samples; i++) {
+                        if (rng.nextBounded(24) == 0) {
+                            s = rng.nextFloat();
+                            t = rng.nextFloat();
+                        } else {
+                            s += 0.6f / static_cast<float>(tex.width());
+                            t += 0.02f / static_cast<float>(tex.height());
+                        }
+                        TexelFootprint fp;
+                        Sampler::sample(tex, s, t, &fp);
+                        const u32 cache = static_cast<u32>(
+                            (i / 2 + rng.nextBounded(2)) % caches);
+                        every.texelFetches(cache, fp.addrs());
+                        for (Addr a : fp.addrs()) {
+                            if (filter.repeats(cache, a)) {
+                                repeats[cache]++;
+                            } else {
+                                filtered.texelFetch(cache, a);
+                                forward.texelFetch(cache, a);
+                            }
+                            last[cache] = a;
+                        }
+                    }
+                    for (u32 c = 0; c < caches; c++) {
+                        if (!repeats[c])
+                            continue;
+                        filtered.texelRepeatHits(c, last[c], repeats[c]);
+                        forward.texelRepeatHits(c, last[c], repeats[c]);
+                        dropped += repeats[c];
+                    }
+                    const Addr color = 0x4'0000'0000ull + 1024ull * tile;
+                    MemTraceSink *const sinks[] = {&every, &filtered,
+                                                   &forward};
+                    for (MemTraceSink *mem : sinks) {
+                        mem->colorFlush(color, 1024);
+                        mem->colorRead(color + 64 * 1024, 256);
+                    }
+                }
+                const MemFrameSummary want = every.endFrame();
+                EXPECT_GT(want.texelMisses, 0u);
+                EXPECT_GT(want.texelStallCycles, 0u);
+                for (MemSystem *mem : {&filtered, &viaDefault}) {
+                    const MemFrameSummary got = mem->endFrame();
+                    EXPECT_EQ(got.texelMisses, want.texelMisses);
+                    EXPECT_EQ(got.texelStallCycles, want.texelStallCycles);
+                    for (u8 c = 0; c < 4; c++) {
+                        const auto cls = static_cast<TrafficClass>(c);
+                        EXPECT_EQ(got.dramDelta.reads(cls),
+                                  want.dramDelta.reads(cls));
+                        EXPECT_EQ(got.dramDelta.writes(cls),
+                                  want.dramDelta.writes(cls));
+                        EXPECT_EQ(got.dramDelta.writebacks(cls),
+                                  want.dramDelta.writebacks(cls));
+                    }
+                }
+            }
+
+            auto expectSameCounts = [](const CacheModel &got,
+                                       const CacheModel &want) {
+                EXPECT_EQ(got.accesses(), want.accesses());
+                EXPECT_EQ(got.hits(), want.hits());
+                EXPECT_EQ(got.misses(), want.misses());
+                EXPECT_EQ(got.fills(), want.fills());
+                EXPECT_EQ(got.writebacks(), want.writebacks());
+                for (u8 c = 0; c < 4; c++) {
+                    const auto cls = static_cast<TrafficClass>(c);
+                    EXPECT_EQ(got.demandBytes(cls), want.demandBytes(cls));
+                    EXPECT_EQ(got.fillBytes(cls), want.fillBytes(cls));
+                }
+            };
+            for (MemSystem *mem : {&filtered, &viaDefault}) {
+                expectSameCounts(mem->l2Ref(), every.l2Ref());
+                for (u32 i = 0; i < caches; i++) {
+                    SCOPED_TRACE(::testing::Message() << "texture cache "
+                                                      << i);
+                    expectSameCounts(mem->textureCacheRef(i),
+                                     every.textureCacheRef(i));
+                }
+            }
+            for (MemSystem *mem : {&every, &filtered, &viaDefault})
+                expectConserved(*mem);
+            // Both kinds of fetch occurred: dropped repeats, and misses
+            // the filter had to keep.
+            EXPECT_GT(dropped, 0u);
+            EXPECT_LT(dropped, every.textureCacheAccesses());
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

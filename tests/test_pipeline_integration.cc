@@ -7,18 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <functional>
 #include <map>
 #include <numeric>
-#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "crc/crc32.hh"
 #include "gpu/pipeline.hh"
+#include "reference_raster.hh"
 #include "scene/mesh_gen.hh"
 #include "te/transaction_elimination.hh"
 #include "timing/memsystem.hh"
@@ -256,15 +255,17 @@ struct PipeFixture : ::testing::Test
     }
 };
 
-/** A MemTraceSink that logs every call, to compare event streams. */
+/** A MemTraceSink that logs every call, to compare event streams:
+ *  texelFetches calls flattened to one texelFetch per address, so how
+ *  fetches are batched into calls is not compared. */
 struct LoggingSink : MemTraceSink
 {
     struct Call
     {
         char kind = 0;
         Addr addr = 0;
-        u32 arg = 0;             //!< bytes, or a texture-cache index
-        std::array<Addr, 4> texels{};
+        u32 arg = 0;    //!< bytes, or a texture-cache index
+        u32 count = 0;  //!< texelRepeatHits' count
         bool operator==(const Call &) const = default;
     };
     std::vector<Call> log;
@@ -275,15 +276,8 @@ struct LoggingSink : MemTraceSink
     void parameterRead(Addr a, u32 b) override { log.push_back({'r', a, b}); }
     void texelFetch(u32 cache, Addr a) override
     { log.push_back({'t', a, cache}); }
-    void
-    texelFetches(u32 cache, std::span<const Addr> addrs) override
-    {
-        Call call{'T', addrs.size(), cache};
-        EXPECT_LE(addrs.size(), call.texels.size());
-        std::copy_n(addrs.begin(), std::min(addrs.size(), call.texels.size()),
-                    call.texels.begin());
-        log.push_back(call);
-    }
+    void texelRepeatHits(u32 cache, Addr a, u32 n) override
+    { log.push_back({'h', a, cache, n}); }
     void colorFlush(Addr a, u32 b) override { log.push_back({'f', a, b}); }
     void colorRead(Addr a, u32 b) override { log.push_back({'c', a, b}); }
 };
@@ -668,7 +662,7 @@ TEST_F(PipeFixture, SkippedTilesGroundTruthMatchesAFreshRender)
             for (TileId t = 0; t < numTiles; t++) {
                 ASSERT_FALSE(r.tiles[t].rendered);
                 std::vector<Color> fresh;
-                TileRenderer(config, nullptr, textures)
+                TileRenderer(config, textures)
                     .renderTile(t, r.binned, step.commands.draws,
                                 step.commands.clearColor, fresh);
                 EXPECT_EQ(r.tiles[t].equalColors,
@@ -692,11 +686,14 @@ TEST_F(PipeFixture, SkippedTilesGroundTruthMatchesAFreshRender)
 TEST_F(PipeFixture, RenderedTilesFromRecordsMatchAFreshRender)
 {
     // A pipeline without a memo client serves a rendered tile whose
-    // inputs equal its record's from the record: its colors and stats,
-    // and its memory events replayed with this frame's Parameter Buffer
-    // addresses. Every rendered tile must match a fresh render into a
-    // logging sink: its colors on the front surface, its
-    // TileRenderStats, and its slice of the pipeline's memory events.
+    // inputs equal its record's from the record: its colors, its stats
+    // and its texel capture, sent with this frame's Parameter Buffer
+    // addresses. Every rendered tile must match a fresh render by the
+    // naive reference raster: its colors on the front surface, its
+    // TileRenderStats, and its slice of the pipeline's memory events,
+    // which must be the reference's raw stream through the naive
+    // repeat filter, with the frame's repeat hits counted in
+    // FrameResult::texelRepeatHits.
     // The frames are the key mutations of
     // SkippedTilesGroundTruthMatchesAFreshRender, then a Parameter
     // Buffer shift: the textured quad gains a small triangle in tile
@@ -749,11 +746,15 @@ TEST_F(PipeFixture, RenderedTilesFromRecordsMatchAFreshRender)
                 for (TileId t = 0; t < numTiles; t++) {
                     ASSERT_TRUE(r.tiles[t].rendered);
                     LoggingSink freshSink;
+                    testutil::ReferenceRepeatFilter filter(config,
+                                                          freshSink);
                     std::vector<Color> fresh;
                     const TileRenderStats freshStats =
-                        TileRenderer(config, &freshSink, textures)
-                            .renderTile(t, r.binned, step.commands.draws,
-                                        step.commands.clearColor, fresh);
+                        testutil::referenceRenderTile(
+                            config, &filter, textures, nullptr, t,
+                            r.binned, step.commands.draws,
+                            step.commands.clearColor, fresh);
+                    filter.endTile();
                     EXPECT_TRUE(tileMatches(front, t, fresh))
                         << "tile " << t;
                     EXPECT_TRUE(r.tiles[t].stats == freshStats)
@@ -775,6 +776,12 @@ TEST_F(PipeFixture, RenderedTilesFromRecordsMatchAFreshRender)
                     }
                 }
                 EXPECT_EQ(pos, sink.log.size());
+                u64 repeatHits = 0;
+                for (const LoggingSink::Call &call : sink.log)
+                    if (call.kind == 'h')
+                        repeatHits += call.count;
+                EXPECT_EQ(r.texelRepeatHits, repeatHits);
+                EXPECT_GT(repeatHits, 0u);
 
                 if (f == 0) {
                     EXPECT_EQ(r.renderedFromRecord, 0u);

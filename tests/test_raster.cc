@@ -18,7 +18,6 @@
 #include "gpu/binning.hh"
 #include "gpu/memiface.hh"
 #include "gpu/raster.hh"
-#include "gpu/tile_pool.hh"
 #include "reference_raster.hh"
 
 using namespace regpu;
@@ -75,7 +74,7 @@ struct RasterFixture : ::testing::Test
     TileRenderStats
     render(TileId tile, std::vector<Color> &out)
     {
-        TileRenderer r(config, nullptr, textures);
+        TileRenderer r(config, textures);
         return r.renderTile(tile, frame, draws, Color(0, 0, 0), out);
     }
 };
@@ -210,30 +209,6 @@ TEST_F(RasterFixture, TileIsolation)
     EXPECT_EQ(ts.fragmentsGenerated, 0u);
 }
 
-TEST_F(RasterFixture, ShadowRenderChargesNothing)
-{
-    PipelineState s;
-    s.shader = ShaderKind::Textured;
-    s.textureId = 0;
-    addTriangle(0, 0, 64, 0, 0, 64, s);
-    MemEventRecorder sink;
-    std::vector<Color> out;
-    // A charged render of the tile records parameter reads and texel
-    // fetches...
-    TileRenderStats charged = TileRenderer(config, &sink, textures)
-        .renderTile(0, frame, draws, Color(0, 0, 0), out);
-    ASSERT_GT(charged.texelFetches, 0u);
-    ASSERT_GT(sink.size(), 0u);
-    // ...and the shadow render of skipped tiles, which has no sink,
-    // produces the same colors and the same work.
-    std::vector<Color> shadow;
-    TileRenderStats uncharged = TileRenderer(config, nullptr, textures)
-        .renderTile(0, frame, draws, Color(0, 0, 0), shadow);
-    EXPECT_EQ(shadow, out);
-    EXPECT_EQ(uncharged.fragmentsShaded, charged.fragmentsShaded);
-    EXPECT_EQ(uncharged.texelFetches, charged.texelFetches);
-}
-
 TEST_F(RasterFixture, DeterministicColors)
 {
     PipelineState s;
@@ -267,7 +242,7 @@ TEST(RasterBounds, FarOffVertexRendersLikeANearerOne)
         frame.primitives.push_back(p);
         frame.tileLists.assign(config.numTiles(), {});
         frame.tileLists[0].push_back({0, 0x200000000ull, 64});
-        TileRenderStats ts = TileRenderer(config, nullptr, textures)
+        TileRenderStats ts = TileRenderer(config, textures)
             .renderTile(0, frame, draws, Color(0, 0, 0), colors[i]);
         EXPECT_EQ(ts.fragmentsGenerated, 64u) << "x = " << p.v[1].x;
     }
@@ -279,7 +254,9 @@ TEST(RasterBounds, FarOffVertexRendersLikeANearerOne)
 namespace
 {
 
-/** Every call a MemTraceSink receives, flattened, in order. */
+/** Every call a MemTraceSink receives, flattened, in order: a
+ *  texelFetches call as one texelFetch per address, so how fetches are
+ *  batched into calls is not compared. */
 struct SinkLog : MemTraceSink
 {
     std::vector<u64> calls;
@@ -291,12 +268,8 @@ struct SinkLog : MemTraceSink
     void parameterWrite(Addr a, u32 n) override { put({1, a, n}); }
     void parameterRead(Addr a, u32 n) override { put({2, a, n}); }
     void texelFetch(u32 cache, Addr a) override { put({3, cache, a}); }
-    void
-    texelFetches(u32 cache, std::span<const Addr> addrs) override
-    {
-        put({4, cache, addrs.size()});
-        calls.insert(calls.end(), addrs.begin(), addrs.end());
-    }
+    void texelRepeatHits(u32 cache, Addr a, u32 n) override
+    { put({4, cache, a, n}); }
     void colorFlush(Addr a, u32 n) override { put({5, a, n}); }
     void colorRead(Addr a, u32 n) override { put({6, a, n}); }
 };
@@ -432,30 +405,35 @@ packed(const std::vector<Color> &colors)
 
 /** Render @p tile with the fast path and the reference, each with a
  *  logging memo client if @p withMemo, and compare colors, stats and
- *  the memory and memo call streams. Returns the reference's stats. */
+ *  the memo call streams, and the events the fast path's texel capture
+ *  sends with the reference's raw stream through the naive repeat
+ *  filter. Returns the reference's stats, and adds the fetches sent as
+ *  repeat hits to @p repeatHits if set. */
 TileRenderStats
 expectTileMatchesReference(const GpuConfig &config,
                            const std::vector<Texture> &textures,
                            const BinnedFrame &frame,
                            const std::vector<DrawCall> &draws, TileId tile,
-                           bool withMemo)
+                           bool withMemo, u64 *repeatHits = nullptr)
 {
-    MemEventRecorder fastMem, refMem;
     MemoLog fastMemo, refMemo;
     std::vector<Color> fastColors, refColors;
+    TexelCapture capture;
     const TileRenderStats fast =
-        TileRenderer(config, &fastMem, textures,
-                     withMemo ? &fastMemo : nullptr)
+        TileRenderer(config, textures, withMemo ? &fastMemo : nullptr)
             .renderTile(tile, frame, draws, Color(12, 34, 56, 78),
-                        fastColors);
+                        fastColors, &capture);
+    SinkLog fastLog, refLog;
+    testutil::ReferenceRepeatFilter refFilter(config, refLog);
     const TileRenderStats ref = testutil::referenceRenderTile(
-        config, &refMem, textures, withMemo ? &refMemo : nullptr, tile,
+        config, &refFilter, textures, withMemo ? &refMemo : nullptr, tile,
         frame, draws, Color(12, 34, 56, 78), refColors);
+    refFilter.endTile();
+    const u64 repeats = capture.emit(fastLog, tile, frame, draws, textures);
+    if (repeatHits)
+        *repeatHits += repeats;
     expectSameStats(fast, ref);
     EXPECT_EQ(packed(fastColors), packed(refColors));
-    SinkLog fastLog, refLog;
-    fastMem.replay(fastLog);
-    refMem.replay(refLog);
     EXPECT_EQ(fastLog.calls, refLog.calls);
     EXPECT_EQ(fastMemo.calls, refMemo.calls);
     return ref;
@@ -472,7 +450,7 @@ std::array<u64, 4>
 expectRandomTilesMatchReference(u32 tileWidth, u32 tileHeight,
                                 u32 textureCaches)
 {
-    u64 fragments = 0, reused = 0, killed = 0;
+    u64 fragments = 0, reused = 0, killed = 0, repeatHits = 0;
     std::array<u64, 4> spanRemainders{};
     for (u64 seed = 1; seed <= 300; seed++) {
         const OracleFrame f(seed, tileWidth, tileHeight, textureCaches);
@@ -482,7 +460,8 @@ expectRandomTilesMatchReference(u32 tileWidth, u32 tileHeight,
                              + std::to_string(tile)
                              + (withMemo ? " memo" : ""));
                 const TileRenderStats ref = expectTileMatchesReference(
-                    f.config, f.textures, f.frame, f.draws, tile, withMemo);
+                    f.config, f.textures, f.frame, f.draws, tile, withMemo,
+                    &repeatHits);
                 fragments += ref.fragmentsGenerated;
                 reused += ref.fragmentsMemoReused;
                 killed += ref.fragmentsEarlyZKilled;
@@ -507,6 +486,7 @@ expectRandomTilesMatchReference(u32 tileWidth, u32 tileHeight,
     EXPECT_GT(fragments, 10000u);
     EXPECT_GT(reused, 0u);
     EXPECT_GT(killed, 0u);
+    EXPECT_GT(repeatHits, 0u);
     return spanRemainders;
 }
 
